@@ -19,14 +19,14 @@ bench-trend:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench trend
 
 # Profiler smoke: the NullProfiler overhead pin plus a real sampled run
-# whose payload must pass validate_profile (docs/BENCHMARKS.md).
+# whose payload must pass PROFILE_SPEC (docs/BENCHMARKS.md).
 profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/obs/test_profile.py -q
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench \
 	  --scenario interpreter-step/wind_sensor --warmup 0 --repetitions 3 \
 	  --profile-json PROFILE_smoke.json --output BENCH_smoke.json
 	PYTHONPATH=src $(PYTHON) -c "from repro.obs.profile import \
-	read_profile; p = read_profile('PROFILE_smoke.json'); \
+	PROFILE_SPEC; p = PROFILE_SPEC.read('PROFILE_smoke.json'); \
 	print('profile-smoke ok:', p['sample_count'], 'samples')"
 	rm -f PROFILE_smoke.json BENCH_smoke.json
 
@@ -40,11 +40,11 @@ mem-smoke:
 	  --scenario interpreter-step/wind_sensor --warmup 0 --repetitions 3 \
 	  --mem --mem-json MEM_smoke.json --output BENCH_mem_smoke.json
 	PYTHONPATH=src $(PYTHON) -c "from repro.obs.resources import \
-	read_resources; r = read_resources('MEM_smoke.json'); \
+	RESOURCES_SPEC; r = RESOURCES_SPEC.read('MEM_smoke.json'); \
 	print('mem-smoke ok: rss', r['peak_rss_bytes'], 'bytes,', \
 	len(r['sections']), 'section(s)')"
-	PYTHONPATH=src $(PYTHON) -c "from repro.obs.bench import read_bench; \
-	b = read_bench('BENCH_mem_smoke.json'); \
+	PYTHONPATH=src $(PYTHON) -c "from repro.obs.bench import BENCH_SPEC; \
+	b = BENCH_SPEC.read('BENCH_mem_smoke.json'); \
 	assert all('memory' in s for s in b['scenarios']), 'memory missing'; \
 	print('mem-smoke ok: bench memory sections present')"
 

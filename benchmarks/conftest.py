@@ -25,10 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro.obs.bench import (
+    BENCH_SPEC,
     bench_payload,
-    dumps_bench,
     scenario_result_from_samples,
-    validate_bench,
 )
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
@@ -76,14 +75,14 @@ def write_bench_results(stem: str, results: list[dict]) -> None:
     """Write several scenario results into one ``results/<stem>.json``
     (the backend comparison emits one scenario per execution engine)."""
     repetitions = max(len(r["samples_seconds"]) for r in results)
-    payload = validate_bench(
+    payload = BENCH_SPEC.validate(
         bench_payload(
             results, suite="paper-figures", warmup=0, repetitions=repetitions
         )
     )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{stem}.json").write_text(
-        dumps_bench(payload), encoding="utf-8"
+        BENCH_SPEC.dumps(payload), encoding="utf-8"
     )
 
 

@@ -19,10 +19,7 @@ from repro.chaos.injector import (
     ChaosInjector,
     NullChaosInjector,
     chaos_recovery,
-    get_chaos,
-    installed_chaos,
     parse_faults,
-    set_chaos,
 )
 from repro.chaos.oracle import (
     CHAOS_SCHEMA,
@@ -40,11 +37,8 @@ __all__ = [
     "ChaosInjector",
     "NullChaosInjector",
     "chaos_recovery",
-    "get_chaos",
-    "installed_chaos",
     "parse_faults",
     "replay_worker_faults",
     "run_batch_oracle",
     "run_campaign_oracle",
-    "set_chaos",
 ]

@@ -31,12 +31,11 @@ must survive the process boundary, e.g. a SIGKILLed worker's retry)
 guarantees a planned fault fires on the first delivery only, which is
 what lets a crashed shard's retry complete.
 
-Like :class:`~repro.obs.trace.NullTracer` and
-:class:`~repro.obs.events.NullEventLog`, the default injector is
-:class:`NullChaosInjector` whose probes are no-ops — instrumented
-infrastructure paths pay one global read and a predicate call when
-chaos is off, pinned by a micro-benchmark in
-``tests/chaos/test_injector.py``.
+Like the null tracer and event log, the default ``chaos`` field of
+:mod:`repro.obs.context` is a :class:`NullChaosInjector` whose
+probes are no-ops — instrumented infrastructure paths pay one function
+call and a predicate call when chaos is off.  Install an injector with
+``installed(chaos=...)``.
 
 Every injected fault emits a ``chaos.<fault>`` event (level ``warn``)
 and bumps ``repro_chaos_injected_total``; every recovery action the
@@ -55,13 +54,13 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.obs import global_registry
-from repro.obs.events import get_event_log
+# NullChaosInjector is re-exported: it is this plane's off state.
+from repro.obs.context import NullChaosInjector, instruments
 
 #: The fault classes the injector can plan.
 FAULTS = (
@@ -162,7 +161,7 @@ def chaos_recovery(action: str, site: str, **attrs) -> None:
     ``repro_chaos_recovered_total`` counter.  Hardened layers call this
     on *every* recovery, injected or organic, so the chaos report panel
     sees the full picture."""
-    get_event_log().emit(
+    instruments().event_log.emit(
         "chaos.recovery", level="info", action=action, site=site, **attrs
     )
     global_registry().counter(
@@ -272,7 +271,7 @@ class ChaosInjector:
             return False
         if not self._claim(fault, site, key):
             return False
-        get_event_log().emit(
+        instruments().event_log.emit(
             _event_name(fault),
             level="warn",
             fault=fault,
@@ -331,7 +330,7 @@ class ChaosInjector:
             if self._roll("torn-manifest-variant", site, key) < 0.5
             else "no-rename"
         )
-        get_event_log().emit(
+        instruments().event_log.emit(
             "chaos.torn_manifest_variant",
             level="debug",
             site=site,
@@ -403,82 +402,3 @@ class ChaosInjector:
             hang_seconds=self.config.hang_seconds,
             slow_io_seconds=self.config.slow_io_seconds,
         ).to_dict()
-
-
-class NullChaosInjector:
-    """The disabled injector: every probe is a no-op.  Kept trivial —
-    these probes sit on manifest writes, cache lookups, and the daemon
-    request path, and must cost ~nothing when chaos is off."""
-
-    enabled = False
-
-    def decide(self, fault: str, site: str, key: str) -> bool:
-        return False
-
-    def fire(self, fault: str, site: str, key, **attrs) -> bool:
-        return False
-
-    def crash_point(self, site: str, key) -> None:
-        return None
-
-    def hang_point(self, site: str, key) -> None:
-        return None
-
-    def slow_point(self, site: str, key) -> None:
-        return None
-
-    def corrupt_bytes(self, site: str, key, data: bytes) -> Optional[bytes]:
-        return None
-
-    def torn_write(self, site: str, key) -> Optional[str]:
-        return None
-
-    def duplicate_point(self, site: str, key) -> bool:
-        return False
-
-    def drop_point(self, site: str, key) -> bool:
-        return False
-
-    def fired(self) -> list[dict]:
-        return []
-
-    def summary(self) -> dict:
-        return {"injected": 0, "by_fault": {}}
-
-    def worker_payload(self) -> Optional[dict]:
-        return None
-
-
-_NULL_CHAOS = NullChaosInjector()
-_chaos_lock = threading.Lock()
-_current_chaos: ChaosInjector | NullChaosInjector = _NULL_CHAOS
-
-
-def get_chaos() -> ChaosInjector | NullChaosInjector:
-    """The process-wide injector instrumented infrastructure probes."""
-    return _current_chaos
-
-
-def set_chaos(
-    injector: Optional[ChaosInjector | NullChaosInjector],
-) -> ChaosInjector | NullChaosInjector:
-    """Install ``injector`` (None restores the no-op default); returns
-    the previously installed one so callers can restore it."""
-    global _current_chaos
-    with _chaos_lock:
-        previous = _current_chaos
-        _current_chaos = injector if injector is not None else _NULL_CHAOS
-    return previous
-
-
-@contextmanager
-def installed_chaos(
-    injector: ChaosInjector | NullChaosInjector,
-) -> Iterator[ChaosInjector | NullChaosInjector]:
-    """Scoped :func:`set_chaos` — the previous injector is restored on
-    exit, so tests and CLI commands cannot leak fault injection."""
-    previous = set_chaos(injector)
-    try:
-        yield injector
-    finally:
-        set_chaos(previous)

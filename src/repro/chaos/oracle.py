@@ -23,9 +23,8 @@ from repro.chaos.injector import (
     ChaosInjector,
     NullChaosInjector,
     _event_name,
-    installed_chaos,
 )
-from repro.obs.events import get_event_log
+from repro.obs.context import installed, instruments
 
 #: Bump when the chaos report layout changes.
 CHAOS_SCHEMA = 1
@@ -39,7 +38,7 @@ def replay_worker_faults(injector: ChaosInjector) -> int:
     they were emitted live."""
     import os
 
-    events = get_event_log()
+    events = instruments().event_log
     replayed = 0
     for record in injector.fired():
         if record.get("pid") == os.getpid():
@@ -97,7 +96,7 @@ def run_campaign_oracle(
 
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    with installed_chaos(NullChaosInjector()):
+    with installed(chaos=NullChaosInjector()):
         clean = CampaignRunner(
             config=config,
             checkpoint_path=work_dir / "clean.json",
@@ -108,7 +107,7 @@ def run_campaign_oracle(
             progress=progress,
         ).run()
     injector = ChaosInjector(chaos_config)
-    with installed_chaos(injector):
+    with installed(chaos=injector):
         chaotic = CampaignRunner(
             config=config,
             checkpoint_path=work_dir / "chaos.json",
@@ -123,7 +122,7 @@ def run_campaign_oracle(
         chaotic["apps"], sort_keys=True
     )
     oracle = _verdict(identical, clean, chaotic)
-    get_event_log().emit(
+    instruments().event_log.emit(
         "chaos.oracle",
         level="info" if oracle["holds"] else "error",
         **oracle,
@@ -160,11 +159,11 @@ def run_batch_oracle(
             for r in results
         ]
 
-    with installed_chaos(NullChaosInjector()):
+    with installed(chaos=NullChaosInjector()):
         clean_pool = CheckerPool(max_workers=1, cache=None)
         clean = verdicts(clean_pool.check_paths(paths))
     injector = ChaosInjector(chaos_config)
-    with installed_chaos(injector):
+    with installed(chaos=injector):
         cache = ResultCache(disk_dir=Path(cache_dir))
         chaos_pool = CheckerPool(max_workers=1, cache=cache)
         first = verdicts(chaos_pool.check_paths(paths))
@@ -182,7 +181,7 @@ def run_batch_oracle(
         "infra_failed": 0,
         "holds": identical,
     }
-    get_event_log().emit(
+    instruments().event_log.emit(
         "chaos.oracle",
         level="info" if oracle["holds"] else "error",
         **oracle,

@@ -90,16 +90,14 @@ from repro.obs import (
     format_event,
     format_forest,
     format_tree,
-    get_tracer,
-    installed_tracer,
     maybe_exporter,
     merge_traces,
-    read_events,
     trace_root_seconds,
-    validate_trace,
     write_report,
 )
-from repro.obs.events import PY_LEVELS, installed_event_log
+from repro.obs.events import EVENT_SPEC, PY_LEVELS
+from repro.obs.context import installed, instruments
+from repro.obs.sinks import SPAN_SPEC
 from repro.runtime import Interpreter, RuntimeOptions, StabilizationExperiment
 from repro.runtime.devices import SyntheticDevice
 from repro.runtime.stabilization import recovery_histogram
@@ -110,7 +108,7 @@ from repro.service.pool import CheckerPool, timed_check
 
 def _load(path: str) -> ProgramInfo:
     source = Path(path).read_text(encoding="utf-8")
-    tracer = get_tracer()
+    tracer = instruments().tracer
     with tracer.span("parse"):
         program = parse_program(source)
     with tracer.span("resolve"):
@@ -139,94 +137,72 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 @contextlib.contextmanager
-def _event_logged(args: argparse.Namespace):
-    """Install an :class:`EventLog` when ``--events`` or the global
-    ``--log-level`` ask for one; otherwise the no-op log stays and
-    instrumented code pays ~nothing."""
+def _observed(args: argparse.Namespace, root_name: str, *, monitor=None,
+              **attrs):
+    """Run a command inside one ``root_name`` span, under the
+    instruments its flags ask for: an event log for ``--events`` or the
+    global ``--log-level``, a sampling profiler for ``--profile-json``,
+    a tracer for ``--trace``/``--profile``, plus a caller's resource
+    ``monitor`` (started for the block).  Every other instrument stays
+    as installed (normally the no-op default)."""
     events_path = getattr(args, "events", None)
     log_level = getattr(args, "log_level", None)
-    if not (events_path or log_level):
-        yield
-        return
-    writer = JsonlEventWriter(events_path) if events_path else None
-    sinks: list = [writer] if writer is not None else []
-    if log_level:
-        sinks.append(LoggingBridge())
-    try:
-        with installed_event_log(
-            EventLog(level=log_level or "info", sinks=sinks)
-        ):
-            yield
-    finally:
-        if writer is not None:
-            writer.close()
-        if events_path:
-            print(f"// events written to {events_path}", file=sys.stderr)
-
-
-@contextlib.contextmanager
-def _profiled(args: argparse.Namespace):
-    """Run a command under a :class:`SamplingProfiler` when
-    ``--profile-json`` asks for one; the payload lands in the named
-    file on exit.  Otherwise the no-op profiler stays and the
-    instrumented anchors pay ~nothing."""
     profile_path = getattr(args, "profile_json", None)
-    if not profile_path:
-        yield
-        return
-    from repro.obs.profile import (
-        DEFAULT_INTERVAL,
-        SamplingProfiler,
-        installed_profiler,
-        write_profile,
-    )
-
-    interval = getattr(args, "profile_interval", None)
-    if interval is None:
-        interval = DEFAULT_INTERVAL
-    profiler = SamplingProfiler(interval_seconds=interval)
-    try:
-        with installed_profiler(profiler):
-            with profiler:
-                yield
-    finally:
-        out = write_profile(profiler.payload(), profile_path)
-        print(
-            f"// profile written to {out} "
-            f"({profiler.sample_count} samples)",
-            file=sys.stderr,
-        )
-
-
-@contextlib.contextmanager
-def _observed(args: argparse.Namespace, root_name: str, **attrs):
-    """Run a command under a tracer when ``--trace``/``--profile`` ask
-    for one (and an event log when ``--events``/``--log-level`` do);
-    otherwise the no-op tracer stays installed.  The event log is set up
-    first, so events emitted inside the root span carry its ids."""
+    trace_path = getattr(args, "trace", None)
+    ring = RingBufferSink() if getattr(args, "profile", False) else None
+    fields = {}
     with contextlib.ExitStack() as stack:
-        stack.enter_context(_event_logged(args))
-        stack.enter_context(_profiled(args))
-        if not (getattr(args, "trace", None)
-                or getattr(args, "profile", False)):
-            with get_tracer().span(root_name, **attrs):
-                yield
-            return
-        ring = RingBufferSink() if args.profile else None
-        writer = JsonlTraceWriter(args.trace) if args.trace else None
-        sinks = tuple(s for s in (ring, writer) if s is not None)
-        try:
-            with installed_tracer(Tracer(sinks=sinks)) as tracer:
-                with tracer.span(root_name, **attrs):
-                    yield
-        finally:
-            if writer is not None:
-                writer.close()
-            if ring is not None:
-                for root in ring.roots:
+        if monitor is not None:
+            fields["monitor"] = stack.enter_context(monitor)
+        if events_path or log_level:
+            sinks: list = [LoggingBridge()] if log_level else []
+            if events_path:
+                stack.callback(print, f"// events written to {events_path}",
+                               file=sys.stderr)
+                sinks.insert(0, stack.enter_context(
+                    JsonlEventWriter(events_path)
+                ))
+            fields["event_log"] = EventLog(
+                level=log_level or "info", sinks=sinks
+            )
+        if profile_path:
+            from repro.obs.profile import (
+                DEFAULT_INTERVAL,
+                PROFILE_SPEC,
+                SamplingProfiler,
+            )
+
+            interval = getattr(args, "profile_interval", None)
+            profiler = SamplingProfiler(interval_seconds=(
+                DEFAULT_INTERVAL if interval is None else interval
+            ))
+
+            def write_profile() -> None:
+                out = PROFILE_SPEC.write(profiler.payload(), profile_path)
+                print(f"// profile written to {out} "
+                      f"({profiler.sample_count} samples)", file=sys.stderr)
+
+            stack.callback(write_profile)
+            fields["profiler"] = stack.enter_context(profiler)
+        if trace_path or ring is not None:
+            writer = JsonlTraceWriter(trace_path) if trace_path else None
+
+            def report_trace() -> None:
+                if writer is not None:
+                    writer.close()
+                for root in ring.roots if ring is not None else ():
                     print(format_tree(root), file=sys.stderr)
-            if args.trace:
-                print(f"// trace written to {args.trace}", file=sys.stderr)
+                if writer is not None:
+                    print(f"// trace written to {trace_path}",
+                          file=sys.stderr)
+
+            stack.callback(report_trace)
+            fields["tracer"] = Tracer(
+                sinks=tuple(s for s in (ring, writer) if s is not None)
+            )
+        context = stack.enter_context(installed(**fields))
+        with context.tracer.span(root_name, **attrs):
+            yield
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -348,10 +324,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         tuple(APP_NAMES) if args.apps == "all"
         else tuple(name.strip() for name in args.apps.split(",") if name.strip())
     )
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(
-            _observed(args, "repro.campaign", mode=args.mode, jobs=args.jobs)
-        )
+    with _observed(args, "repro.campaign", mode=args.mode, jobs=args.jobs):
         status = _run_campaign(args, apps)
     # After the stack closes: the driver's trace writer is flushed and
     # closed, so the worker files can be folded in.
@@ -608,7 +581,6 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 def cmd_dist_run(args: argparse.Namespace) -> int:
     from repro.dist import dist_app_experiment
-    from repro.obs.events import get_event_log
     from repro.runtime.interpreter import state_digest
 
     with _observed(args, "repro.dist.run", app=args.app):
@@ -625,7 +597,7 @@ def cmd_dist_run(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         reference = experiment.reference()
-        events = get_event_log()
+        events = instruments().event_log
         for round_index, states in enumerate(reference.trajectory):
             events.emit(
                 "dist.round",
@@ -815,7 +787,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            events = validate_trace(args.trace)
+            events = SPAN_SPEC.read_lines(args.trace, required=True)
         except TraceError as exc:
             print(f"error: invalid trace: {exc}", file=sys.stderr)
             return 2
@@ -881,7 +853,7 @@ def cmd_events(args: argparse.Namespace) -> int:
         return _follow_events_loop(args)
     if args.file is not None:
         try:
-            records = read_events(args.file)
+            records = EVENT_SPEC.read_lines(args.file)
         except EventError as exc:
             print(f"error: invalid event stream: {exc}", file=sys.stderr)
             return 2
@@ -972,6 +944,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.bench import (
+        BENCH_SPEC,
         BenchError,
         attribute_benchmarks,
         bench_payload,
@@ -980,10 +953,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         format_bench_table,
         format_comparison,
         get_scenario,
-        read_bench,
         run_scenarios,
         scenario_names,
-        write_bench,
     )
 
     def emit_comparison(comparison: dict) -> None:
@@ -1024,7 +995,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.attribute is not None:
             old_path, new_path = args.attribute
             attribution = attribute_benchmarks(
-                read_bench(old_path), read_bench(new_path),
+                BENCH_SPEC.read(old_path), BENCH_SPEC.read(new_path),
                 threshold_pct=args.threshold,
             )
             if args.json:
@@ -1042,7 +1013,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             try:
-                events = validate_trace(args.report)
+                events = SPAN_SPEC.read_lines(args.report, required=True)
             except TraceError as exc:
                 print(f"error: invalid trace: {exc}", file=sys.stderr)
                 return 2
@@ -1058,7 +1029,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             comparison = compare_benchmarks(
-                read_bench(args.compare), read_bench(args.against),
+                BENCH_SPEC.read(args.compare), BENCH_SPEC.read(args.against),
                 args.threshold,
             )
             emit_comparison(comparison)
@@ -1073,43 +1044,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for name in names:
             get_scenario(name)  # fail fast on typos, before any timing
         with_memory = bool(args.mem or args.mem_json)
-        with contextlib.ExitStack() as stack:
-            monitor = None
-            if with_memory:
-                from repro.obs.resources import (
-                    ResourceMonitor,
-                    installed_resource_monitor,
-                    write_resources,
-                )
+        monitor = None
+        if with_memory:
+            from repro.obs.resources import RESOURCES_SPEC, ResourceMonitor
 
-                # One monitor for the whole run: scenarios share it so
-                # the instrumented anchors (interpreter.step,
-                # checker.check, infer.fixpoint) attribute their
-                # allocations to it, and --mem-json gets a run-wide
-                # payload.  Per-rep peaks still reset per repetition.
-                monitor = stack.enter_context(ResourceMonitor())
-                stack.enter_context(installed_resource_monitor(monitor))
-            with _observed(args, "repro.bench", suite=args.suite,
-                           scenarios=len(names)):
-                results = run_scenarios(
-                    names,
-                    warmup=args.warmup,
-                    repetitions=args.repetitions,
-                    progress=lambda line: print(f"// {line}",
-                                                file=sys.stderr),
-                    span_table=args.spans,
-                    memory=with_memory,
-                    monitor=monitor,
-                )
+            # One monitor for the whole run: scenarios share it so the
+            # instrumented anchors (interpreter.step, checker.check,
+            # infer.fixpoint) attribute their allocations to it, and
+            # --mem-json gets a run-wide payload.  Per-rep peaks still
+            # reset per repetition.
+            monitor = ResourceMonitor()
+        with _observed(args, "repro.bench", monitor=monitor,
+                       suite=args.suite, scenarios=len(names)):
+            results = run_scenarios(
+                names,
+                warmup=args.warmup,
+                repetitions=args.repetitions,
+                progress=lambda line: print(f"// {line}", file=sys.stderr),
+                span_table=args.spans,
+                memory=with_memory,
+                monitor=monitor,
+            )
         payload = bench_payload(
             results,
             suite=None if args.scenario else args.suite,
             warmup=args.warmup,
             repetitions=args.repetitions,
         )
-        out_path = write_bench(payload, args.output)
+        out_path = BENCH_SPEC.write(payload, args.output)
         if args.mem_json is not None:
-            mem_path = write_resources(monitor.payload(), args.mem_json)
+            mem_path = RESOURCES_SPEC.write(monitor.payload(), args.mem_json)
             print(f"// resources written to {mem_path}", file=sys.stderr)
         if args.json:
             print(protocol.dumps(protocol.bench_payload(payload)))
@@ -1118,7 +1082,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"// bench written to {out_path}", file=sys.stderr)
         if args.compare is not None:
             comparison = compare_benchmarks(
-                read_bench(args.compare), payload, args.threshold
+                BENCH_SPEC.read(args.compare), payload, args.threshold
             )
             emit_comparison(comparison)
             return 0 if comparison["ok"] else 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import get_tracer
+from repro.obs.context import instruments
 
 from repro.core.environment import LocationWorld
 from repro.core.errors import Check, Diagnostic, DiagnosticSink, Severity
@@ -97,18 +97,14 @@ class SJavaChecker:
     def __init__(self, info: ProgramInfo) -> None:
         self.info = info
         self.sink = DiagnosticSink()
-        with get_tracer().span("lattice_build"):
+        with instruments().tracer.span("lattice_build"):
             self.world = LocationWorld(info, self.sink)
             self.call_graph: CallGraph = build_call_graph(info)
 
     def run(self) -> CheckReport:
-        from repro.obs.profile import get_profiler
-        from repro.obs.resources import get_resource_monitor
-
-        tracer = get_tracer()
-        with get_profiler().section("checker.check"), get_resource_monitor().section(
-            "checker.check"
-        ):
+        context = instruments()
+        tracer = context.tracer
+        with context.section("checker.check"):
             with tracer.span("check") as span:
                 report = self._run(tracer)
                 span.count("diagnostics", len(report.diagnostics))
@@ -193,13 +189,13 @@ def check_program(source: str) -> CheckReport:
     SJava check failures are reported in the returned
     :class:`CheckReport`.
     """
-    with get_tracer().span("parse"):
+    with instruments().tracer.span("parse"):
         program = parse_program(source)
     return check_parsed(program)
 
 
 def check_parsed(program: ast.Program) -> CheckReport:
-    tracer = get_tracer()
+    tracer = instruments().tracer
     with tracer.span("resolve"):
         info = resolve_program(program)
     with tracer.span("typecheck"):

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.lang.symtab import ProgramInfo
-from repro.obs import get_tracer
-from repro.obs.events import get_event_log
+from repro.obs.context import instruments
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import (
@@ -375,7 +374,7 @@ class DistExperiment:
         self, target_step: int, seed: int, burst: int = 1
     ) -> InjectionTrial:
         node, local = self.site_location(target_step)
-        with get_tracer().span(
+        with instruments().tracer.span(
             "dist_trial",
             app=self.spec.name,
             site=target_step,
@@ -391,7 +390,7 @@ class DistExperiment:
     def _trial_at(
         self, node: int, local: int, target_step: int, seed: int, burst: int
     ) -> InjectionTrial:
-        events = get_event_log()
+        events = instruments().event_log
         if local >= self.node_site_counts()[node]:
             # The composite site space covers the injection horizon
             # (``self.rounds``) only; an over-large target must never

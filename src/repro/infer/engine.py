@@ -25,7 +25,8 @@ from typing import Optional
 
 from repro.core.checker import CheckReport, check_program
 from repro.core.lattice import Lattice
-from repro.obs import get_tracer, timed_span
+from repro.obs.context import instruments
+from repro.obs.trace import timed_span
 from repro.infer.cycles import avoid_superfluous_cycles
 from repro.infer.dedekind import CompletedLattice, complete
 from repro.infer.hierarchy import HierarchyGraph, HierarchySet, decompose
@@ -105,7 +106,7 @@ class InferenceEngine:
 
     def run(self, verify: bool = True) -> InferenceResult:
         phases: dict[str, float] = {}
-        with get_tracer().span("infer", mode=self.mode):
+        with instruments().tracer.span("infer", mode=self.mode):
             return self._run(verify, phases)
 
     def _run(self, verify: bool, phases: dict[str, float]) -> InferenceResult:

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.lang import ast
 from repro.lang.callgraph import CallGraph, MethodKey, build_call_graph
-from repro.obs import get_tracer
+from repro.obs.context import instruments
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 
 FlowNode = tuple[str, ...]
@@ -138,14 +138,9 @@ class ValueFlowAnalysis:
         # Two passes give the fixed point in the presence of summaries
         # that may grow (the scope is recursion-free so one pass in
         # topological order already suffices; the second is a safety net).
-        from repro.obs.profile import get_profiler
-        from repro.obs.resources import get_resource_monitor
-
-        tracer = get_tracer()
-        with get_profiler().section("infer.fixpoint"), get_resource_monitor().section(
-            "infer.fixpoint"
-        ):
-            self._run_rounds(order, tracer)
+        context = instruments()
+        with context.section("infer.fixpoint"):
+            self._run_rounds(order, context.tracer)
         return self.graphs
 
     def _run_rounds(self, order, tracer) -> None:

@@ -1,59 +1,37 @@
 """repro.obs — dependency-free observability for the checking stack.
 
-Three pieces (see ``docs/OBSERVABILITY.md``):
+Two foundations hold it together (see ``docs/OBSERVABILITY.md``):
 
-* **tracing** (:mod:`repro.obs.trace`) — nested spans with wall/CPU
-  time, attributes and counters; thread-local context; a no-op tracer
-  so instrumented hot paths cost ~nothing when tracing is off;
-* **metrics** (:mod:`repro.obs.metrics`) — a process-wide registry of
-  counters, gauges and fixed-bucket histograms with Prometheus text and
-  JSON snapshot expositions;
-* **sinks** (:mod:`repro.obs.sinks`) — an in-memory ring buffer, an
-  atomic-append JSON-lines trace writer, and a human span-tree
-  renderer;
-* **events** (:mod:`repro.obs.events`) — a leveled, sampled,
-  trace-correlated structured event log with JSONL persistence, an
-  in-memory ring buffer, and a stdlib ``logging`` bridge;
-* **propagate** (:mod:`repro.obs.propagate`) — W3C-traceparent-style
-  trace-context propagation across process boundaries (campaign
-  driver → pool workers, client → daemon) and the ``merge_traces``
-  stitcher that turns per-worker files into one causal trace;
-* **exporter** (:mod:`repro.obs.exporter`) — a dependency-free HTTP
-  thread serving ``/metrics`` (Prometheus text), ``/healthz`` and
-  ``/events`` for ``repro serve --http-port`` and long campaign
-  drives;
-* **bench** (:mod:`repro.obs.bench`) — a declarative benchmark registry
-  and runner over the registered apps, the schema-versioned
-  ``BENCH_*.json`` perf trajectory, the regression-gate comparator
-  behind ``repro bench --compare``, and the span-diff attribution
-  engine behind ``repro bench --attribute`` (see
-  ``docs/BENCHMARKS.md``);
-* **profile** (:mod:`repro.obs.profile`) — a low-overhead sampling
-  wall-clock profiler with instrumented anchors in the interpreter
-  step loop, the checker, and the inference fixpoint, emitting
-  schema-versioned ``PROFILE_*.json`` payloads (``--profile-json``);
-* **resources** (:mod:`repro.obs.resources`) — memory & resource
-  telemetry: peak-RSS sampling, tracemalloc allocation attribution to
-  the span/section vocabulary, GC pause tracking via ``gc.callbacks``,
-  and cache-occupancy watching, emitting schema-versioned
-  ``MEM_*.json`` payloads (``repro bench --mem`` / ``--mem-json``);
-* **history** (:mod:`repro.obs.history`) — the bench history store:
-  per-scenario trend series over a directory of ``BENCH_*.json`` with
-  a noise-aware changepoint detector (``repro bench trend``);
-* **report** (:mod:`repro.obs.report`) — the deterministic single-file
-  HTML dashboard behind ``repro report --html`` (convergence curves,
-  shard timeline, event and bench tables).
+* **one installed context** (:mod:`repro.obs.context`) — the
+  process-wide :class:`Instruments` value whose five fields (``tracer``,
+  ``event_log``, ``profiler``, ``monitor``, ``chaos``) default to no-op
+  null objects.  Instrumented code reads ``instruments().tracer`` and
+  friends, ``with installed(tracer=...)`` swaps fields in and restores
+  them on exit, and ``instruments().section(name)`` labels a hot anchor
+  for the profiler and the resource monitor at once;
+* **one payload validator** (:mod:`repro.obs.schema`) — every
+  schema-versioned document is a declarative :class:`Spec` with one
+  ``validate`` / ``read`` / ``dumps`` / ``write`` / ``read_lines``
+  path: :data:`BENCH_SPEC`, :data:`PROFILE_SPEC`,
+  :data:`RESOURCES_SPEC`, :data:`EVENT_SPEC`, :data:`SPAN_SPEC`, and
+  the protocol envelopes in :mod:`repro.service.protocol`.
 
-The CLI surfaces all of it: ``--trace FILE`` writes a JSONL trace,
-``--events FILE`` writes a JSONL event stream, ``--profile`` prints the
-span tree, ``repro metrics`` renders a snapshot from a trace file or a
-running daemon, ``repro events`` tails/filters an event stream, ``repro
-report`` renders the HTML dashboard, and ``repro bench`` runs,
-compares, and reports benchmarks.
+On them sit the planes — spans (:mod:`~repro.obs.trace`,
+:mod:`~repro.obs.sinks`, :mod:`~repro.obs.propagate`), metrics
+(:mod:`~repro.obs.metrics`, :mod:`~repro.obs.exporter`), events
+(:mod:`~repro.obs.events`), the sampling profiler
+(:mod:`~repro.obs.profile`) and memory telemetry
+(:mod:`~repro.obs.resources`) — and the tools that read them: the bench
+harness and regression gate (:mod:`~repro.obs.bench`), the bench history
+(:mod:`~repro.obs.history`) and the HTML report
+(:mod:`~repro.obs.report`).  The CLI surfaces all of it: ``--trace``,
+``--events``, ``--profile``, ``--profile-json``, ``repro metrics``,
+``repro events``, ``repro report`` and ``repro bench``.
 """
 
 from repro.obs.bench import (
     BENCH_SCHEMA,
+    BENCH_SPEC,
     BenchError,
     Scenario,
     attribute_benchmarks,
@@ -61,14 +39,11 @@ from repro.obs.bench import (
     compare_benchmarks,
     environment_fingerprint,
     format_attribution,
-    read_bench,
     register_scenario,
     run_scenario,
     run_scenarios,
     scenario_names,
     scenario_result_from_samples,
-    validate_bench,
-    write_bench,
 )
 from repro.obs.history import (
     HistoryWarning,
@@ -81,22 +56,18 @@ from repro.obs.history import (
 )
 from repro.obs.profile import (
     PROFILE_SCHEMA,
+    PROFILE_SPEC,
     NullProfiler,
     ProfileError,
     SamplingProfiler,
     aggregate_profile,
     format_profile_table,
-    get_profiler,
-    installed_profiler,
     profile_payload,
-    read_profile,
     section_counts,
-    set_profiler,
-    validate_profile,
-    write_profile,
 )
 from repro.obs.events import (
     EVENTS_SCHEMA,
+    EVENT_SPEC,
     LEVELS,
     EventBuffer,
     EventError,
@@ -107,11 +78,6 @@ from repro.obs.events import (
     filter_events,
     follow_events,
     format_event,
-    get_event_log,
-    installed_event_log,
-    read_events,
-    set_event_log,
-    validate_events,
 )
 from repro.obs.exporter import (
     MetricsExporter,
@@ -135,18 +101,13 @@ from repro.obs.report import (
 )
 from repro.obs.resources import (
     RESOURCES_SCHEMA,
+    RESOURCES_SPEC,
     NullResourceMonitor,
     ResourceError,
     ResourceMonitor,
     format_resources_table,
-    get_resource_monitor,
-    installed_resource_monitor,
     peak_rss_bytes,
-    read_resources,
     resources_payload,
-    set_resource_monitor,
-    validate_resources,
-    write_resources,
 )
 from repro.obs.propagate import (
     PropagationError,
@@ -156,36 +117,41 @@ from repro.obs.propagate import (
     shard_trace_payload,
     worker_traced,
 )
+from repro.obs.context import Instruments, installed, instruments
+from repro.obs.schema import Spec, TraceWarning
 from repro.obs.sinks import (
+    SPAN_SPEC,
     JsonlTraceWriter,
     JsonlWriter,
     RingBufferSink,
     TraceError,
-    TraceWarning,
     aggregate_trace,
     build_forest,
-    read_jsonl,
     format_aggregate_table,
     format_forest,
     format_tree,
     orphan_events,
-    read_trace,
     trace_root_seconds,
-    validate_trace,
 )
 from repro.obs.trace import (
     TRACE_SCHEMA,
     NullTracer,
     Span,
     Tracer,
-    get_tracer,
-    installed_tracer,
-    set_tracer,
     span_event,
     timed_span,
 )
 
 __all__ = [
+    "Instruments",
+    "installed",
+    "instruments",
+    "Spec",
+    "BENCH_SPEC",
+    "EVENT_SPEC",
+    "PROFILE_SPEC",
+    "RESOURCES_SPEC",
+    "SPAN_SPEC",
     "TRACE_SCHEMA",
     "METRICS_SCHEMA",
     "BENCH_SCHEMA",
@@ -203,11 +169,6 @@ __all__ = [
     "filter_events",
     "follow_events",
     "format_event",
-    "get_event_log",
-    "installed_event_log",
-    "read_events",
-    "set_event_log",
-    "validate_events",
     "MetricsExporter",
     "NullExporter",
     "maybe_exporter",
@@ -219,7 +180,6 @@ __all__ = [
     "worker_traced",
     "JsonlWriter",
     "TraceWarning",
-    "read_jsonl",
     "DEFAULT_TIME_BUCKETS",
     "SNAPSHOT_QUANTILES",
     "BenchError",
@@ -239,38 +199,23 @@ __all__ = [
     "SamplingProfiler",
     "aggregate_profile",
     "format_profile_table",
-    "get_profiler",
-    "installed_profiler",
     "profile_payload",
-    "read_profile",
     "section_counts",
-    "set_profiler",
-    "validate_profile",
-    "write_profile",
     "RESOURCES_SCHEMA",
     "NullResourceMonitor",
     "ResourceError",
     "ResourceMonitor",
     "format_resources_table",
-    "get_resource_monitor",
-    "installed_resource_monitor",
     "peak_rss_bytes",
-    "read_resources",
     "resources_payload",
-    "set_resource_monitor",
-    "validate_resources",
-    "write_resources",
     "bench_payload",
     "compare_benchmarks",
     "environment_fingerprint",
-    "read_bench",
     "register_scenario",
     "run_scenario",
     "run_scenarios",
     "scenario_names",
     "scenario_result_from_samples",
-    "validate_bench",
-    "write_bench",
     "Counter",
     "Gauge",
     "Histogram",
@@ -286,14 +231,9 @@ __all__ = [
     "format_forest",
     "format_tree",
     "orphan_events",
-    "read_trace",
-    "validate_trace",
     "NullTracer",
     "Span",
     "Tracer",
-    "get_tracer",
-    "installed_tracer",
-    "set_tracer",
     "span_event",
     "timed_span",
 ]

@@ -25,7 +25,6 @@ The JSON schema, the scenario registry, and the CI gate built on
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import statistics
@@ -35,7 +34,25 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.obs.trace import Tracer, get_tracer, installed_tracer
+from repro.obs.context import installed, instruments
+from repro.obs.schema import (
+    ANY,
+    INT,
+    NAME,
+    NONNEG_INT,
+    NONNEG_NUMBER,
+    NUMBER,
+    OBJECT,
+    STR,
+    ListOf,
+    Maybe,
+    Obj,
+    Spec,
+    const,
+    one_of,
+    schema_version,
+)
+from repro.obs.trace import Tracer
 
 #: Bump when the BENCH_*.json payload layout changes.
 BENCH_SCHEMA = 1
@@ -455,7 +472,7 @@ def run_scenario(
             monitor = stack.enter_context(ResourceMonitor())
         gc_before = monitor.gc_snapshot() if monitor is not None else None
         alloc_samples: list[Optional[int]] = []
-        tracer = get_tracer()
+        tracer = instruments().tracer
         if span_table:
             sink = CollectingSink()
             sink.enabled = False
@@ -464,8 +481,8 @@ def run_scenario(
                 stack.callback(tracer.remove_sink, sink)
             else:
                 tracer = stack.enter_context(
-                    installed_tracer(Tracer(sinks=(sink,)))
-                )
+                    installed(tracer=Tracer(sinks=(sink,)))
+                ).tracer
         samples: list[float] = []
         counters: dict = {}
         with tracer.span(
@@ -571,6 +588,15 @@ def environment_fingerprint() -> dict:
     }
 
 
+#: What every payload's ``fingerprint`` object must carry.
+FINGERPRINT = Obj({
+    key: ANY for key in (
+        "python", "implementation", "platform", "machine", "cpu_count",
+        "git_sha",
+    )
+})
+
+
 def utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -585,195 +611,99 @@ def bench_payload(
     created_utc: Optional[str] = None,
 ) -> dict:
     """The schema-versioned JSON form of one bench run."""
+    return document(
+        BENCH_SCHEMA, "bench", fingerprint=fingerprint,
+        created_utc=created_utc, suite=suite, warmup=warmup,
+        repetitions=repetitions, scenarios=list(results),
+    )
+
+
+def document(
+    schema: int,
+    kind: str,
+    *,
+    fingerprint: Optional[dict] = None,
+    created_utc: Optional[str] = None,
+    **body,
+) -> dict:
+    """A schema-versioned obs payload: the shared header plus ``body``.
+    The environment fingerprint and timestamp default to the live ones
+    and are injectable for byte-stable golden tests."""
     return {
-        "schema": BENCH_SCHEMA,
-        "kind": "bench",
+        "schema": schema,
+        "kind": kind,
         "created_utc": created_utc if created_utc is not None else utc_now(),
-        "suite": suite,
-        "warmup": warmup,
-        "repetitions": repetitions,
         "fingerprint": (
             fingerprint if fingerprint is not None
             else environment_fingerprint()
         ),
-        "scenarios": list(results),
+        **body,
     }
 
 
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
-
-_SCENARIO_NUMBER_KEYS = (
-    "min_seconds", "median_seconds", "mean_seconds", "stddev_seconds",
-)
-
-
-def validate_bench(payload: dict) -> dict:
-    """Raise :class:`BenchError` unless ``payload`` is a well-formed
-    bench document (the schema in ``docs/BENCHMARKS.md``); returns it."""
-    if not isinstance(payload, dict):
-        raise BenchError("bench payload must be a JSON object")
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise BenchError(
-            f"unsupported bench schema {payload.get('schema')!r} "
-            f"(speaking {BENCH_SCHEMA})"
-        )
-    if payload.get("kind") != "bench":
-        raise BenchError(f"unknown bench kind {payload.get('kind')!r}")
-    if not isinstance(payload.get("created_utc"), str):
-        raise BenchError("created_utc must be a string")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise BenchError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise BenchError(f"fingerprint missing keys {missing}")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise BenchError("scenarios must be a non-empty list")
+def _unique_scenario_names(payload: dict) -> Optional[str]:
     seen: set[str] = set()
-    for entry in scenarios:
-        if not isinstance(entry, dict):
-            raise BenchError("each scenario must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise BenchError("scenario needs a non-empty name")
-        if name in seen:
-            raise BenchError(f"duplicate scenario {name!r}")
-        seen.add(name)
-        if entry.get("kind") not in KINDS:
-            raise BenchError(
-                f"scenario {name!r}: unknown kind {entry.get('kind')!r}"
-            )
-        samples = entry.get("samples_seconds")
-        if (
-            not isinstance(samples, list)
-            or not samples
-            or not all(isinstance(s, (int, float)) for s in samples)
-        ):
-            raise BenchError(
-                f"scenario {name!r}: samples_seconds must be a non-empty "
-                f"list of numbers"
-            )
-        if entry.get("repetitions") != len(samples):
-            raise BenchError(
-                f"scenario {name!r}: repetitions must equal "
-                f"len(samples_seconds)"
-            )
-        for key in _SCENARIO_NUMBER_KEYS:
-            if not isinstance(entry.get(key), (int, float)):
-                raise BenchError(f"scenario {name!r}: {key} must be a number")
-        if not isinstance(entry.get("counters"), dict):
-            raise BenchError(f"scenario {name!r}: counters must be an object")
-        spans = entry.get("spans")
-        if spans is not None:
-            # Optional, additive: payloads without span tables stay valid.
-            if not isinstance(spans, list):
-                raise BenchError(f"scenario {name!r}: spans must be a list")
-            for span in spans:
-                if not isinstance(span, dict) or not isinstance(
-                    span.get("name"), str
-                ):
-                    raise BenchError(
-                        f"scenario {name!r}: each span row needs a name"
-                    )
-                if not isinstance(span.get("count"), int):
-                    raise BenchError(
-                        f"scenario {name!r}: span "
-                        f"{span.get('name')!r}: count must be an int"
-                    )
-                for key in ("self_seconds", "wall_seconds"):
-                    if not isinstance(span.get(key), (int, float)):
-                        raise BenchError(
-                            f"scenario {name!r}: span {span['name']!r}: "
-                            f"{key} must be a number"
-                        )
-        memory = entry.get("memory")
-        if memory is not None:
-            # Optional, additive (like spans): payloads measured before
-            # memory telemetry existed stay valid and compare time-only.
-            _validate_memory_section(name, memory)
-    return payload
+    for entry in payload["scenarios"]:
+        if entry["name"] in seen:
+            return f"duplicate scenario {entry['name']!r}"
+        seen.add(entry["name"])
+    return None
 
 
-def _validate_memory_section(name: str, memory) -> None:
-    if not isinstance(memory, dict):
-        raise BenchError(f"scenario {name!r}: memory must be an object")
-    for key in ("peak_rss_bytes", "alloc_peak_bytes"):
-        value = memory.get(key)
-        if value is not None and (not isinstance(value, int) or value < 0):
-            raise BenchError(
-                f"scenario {name!r}: memory.{key} must be a non-negative "
-                f"int or null"
-            )
-    per_rep = memory.get("alloc_per_rep_bytes")
-    if not isinstance(per_rep, list) or not all(
-        isinstance(s, int) and s >= 0 for s in per_rep
-    ):
-        raise BenchError(
-            f"scenario {name!r}: memory.alloc_per_rep_bytes must be a "
-            f"list of non-negative ints"
-        )
+def _repetitions_match_samples(entry: dict) -> Optional[str]:
+    if entry["repetitions"] != len(entry["samples_seconds"]):
+        return "repetitions must equal len(samples_seconds)"
+    return None
+
+
+def _median_matches_samples(memory: dict) -> Optional[str]:
     median = memory.get("alloc_median_bytes")
-    if per_rep:
-        if not isinstance(median, (int, float)) or median < 0:
-            raise BenchError(
-                f"scenario {name!r}: memory.alloc_median_bytes must be a "
-                f"non-negative number"
-            )
-    elif median is not None:
-        raise BenchError(
-            f"scenario {name!r}: memory.alloc_median_bytes must be null "
-            f"without per-rep samples"
-        )
-    stddev = memory.get("alloc_stddev_bytes")
-    if not isinstance(stddev, (int, float)) or stddev < 0:
-        raise BenchError(
-            f"scenario {name!r}: memory.alloc_stddev_bytes must be a "
-            f"non-negative number"
-        )
-    if not isinstance(memory.get("gc_collections"), int) \
-            or memory["gc_collections"] < 0:
-        raise BenchError(
-            f"scenario {name!r}: memory.gc_collections must be a "
-            f"non-negative int"
-        )
-    pause = memory.get("gc_pause_seconds_total")
-    if not isinstance(pause, (int, float)) or pause < 0:
-        raise BenchError(
-            f"scenario {name!r}: memory.gc_pause_seconds_total must be a "
-            f"non-negative number"
-        )
+    if memory["alloc_per_rep_bytes"] and median is None:
+        return "alloc_median_bytes must be a non-negative number"
+    if not memory["alloc_per_rep_bytes"] and median is not None:
+        return "alloc_median_bytes must be null without per-rep samples"
+    return None
 
 
-def read_bench(path: str | Path) -> dict:
-    """Parse and validate one BENCH json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BenchError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_bench(payload)
-    except BenchError as exc:
-        raise BenchError(f"{path}: {exc}") from exc
+_MEMORY = Obj({
+    "peak_rss_bytes": Maybe(NONNEG_INT),
+    "alloc_per_rep_bytes": ListOf(NONNEG_INT),
+    "alloc_peak_bytes": Maybe(NONNEG_INT),
+    "alloc_median_bytes": Maybe(NONNEG_NUMBER),
+    "alloc_stddev_bytes": NONNEG_NUMBER,
+    "gc_collections": NONNEG_INT,
+    "gc_pause_seconds_total": NONNEG_NUMBER,
+}, checks=(_median_matches_samples,))
 
+_SCENARIO = Obj({
+    "name": NAME,
+    "kind": one_of(KINDS),
+    "samples_seconds": ListOf(NUMBER, nonempty=True),
+    "repetitions": INT,
+    "min_seconds": NUMBER,
+    "median_seconds": NUMBER,
+    "mean_seconds": NUMBER,
+    "stddev_seconds": NUMBER,
+    "counters": OBJECT,
+    # Optional and additive: payloads measured before span tables or
+    # memory telemetry existed stay valid and compare time-only.
+    "spans": Maybe(ListOf(Obj({
+        "name": STR,
+        "count": INT,
+        "self_seconds": NUMBER,
+        "wall_seconds": NUMBER,
+    }), key="name")),
+    "memory": Maybe(_MEMORY),
+}, checks=(_repetitions_match_samples,))
 
-def dumps_bench(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_bench(payload: dict, path: str | Path | None = None) -> Path:
-    """Write ``payload`` to ``path``, defaulting to
-    ``BENCH_<UTCSTAMP>.json`` in the current directory so the perf
-    trajectory accumulates at the repo root across runs."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"BENCH_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_bench(payload), encoding="utf-8")
-    return path
+#: The BENCH_*.json document (the schema in ``docs/BENCHMARKS.md``).
+BENCH_SPEC = Spec("bench payload", BenchError, {
+    "schema": schema_version("bench", BENCH_SCHEMA),
+    "kind": const("bench", "unknown bench kind {value!r}"),
+    "created_utc": STR,
+    "fingerprint": FINGERPRINT,
+    "scenarios": ListOf(_SCENARIO, nonempty=True, key="name"),
+}, checks=(_unique_scenario_names,), file_prefix="BENCH")
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +730,8 @@ def compare_benchmarks(
     gate like time regressions.  Payloads without memory telemetry
     compare time-only — no error, no memory rows.
     """
-    validate_bench(old)
-    validate_bench(new)
+    BENCH_SPEC.validate(old)
+    BENCH_SPEC.validate(new)
     if threshold_pct < 0:
         raise BenchError("threshold_pct must be >= 0")
     old_by = {s["name"]: s for s in old["scenarios"]}

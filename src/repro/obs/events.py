@@ -14,15 +14,14 @@ retries.  Each event is one flat JSON object carrying:
   Dapper-style pipelines correlate logs with traces;
 * a **monotonic, injectable clock** and a process-local sequence
   number, so tests produce byte-identical streams;
-* a ``schema``-versioned envelope whose executable validator is
-  :func:`validate_event_record` (golden file:
-  ``tests/obs/golden/events.golden.jsonl``).
+* a ``schema``-versioned envelope described by :data:`EVENT_SPEC`
+  (golden file: ``tests/obs/golden/events.golden.jsonl``).
 
-Like tracing, event logging is strictly opt-in: the default log is a
-:class:`NullEventLog` whose :meth:`~NullEventLog.emit` is a no-op, so
-instrumented hot paths (the runtime event loop, injection trials) pay
-one global read and a method call when events are disabled — pinned by
-a micro-benchmark in ``tests/obs/test_events.py``.
+Like tracing, event logging is strictly opt-in: the default
+``event_log`` of :mod:`repro.obs.context` is a :class:`NullEventLog`
+whose :meth:`~NullEventLog.emit` is a no-op, so instrumented hot paths
+(the runtime event loop, injection trials) pay one function call and a
+method call when events are disabled.
 
 Sinks are anything with ``write(record: dict)``:
 :class:`JsonlEventWriter` appends one event per line through the
@@ -41,11 +40,24 @@ import json
 import logging
 import threading
 import time
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.obs.sinks import JsonlWriter, read_jsonl
-from repro.obs.trace import get_tracer
+# NullEventLog is re-exported: it is this plane's off state.
+from repro.obs.context import NullEventLog, instruments
+from repro.obs.schema import (
+    INT,
+    NAME,
+    NUMBER,
+    OBJECT,
+    POS_INT,
+    STR,
+    Spec,
+    const,
+    nullable,
+    one_of,
+    schema_version,
+)
+from repro.obs.sinks import JsonlWriter
 
 #: Bump when the event envelope layout changes.
 EVENTS_SCHEMA = 1
@@ -138,7 +150,7 @@ class EventLog:
                     return None
             self._seq += 1
             seq = self._seq
-        span = get_tracer().current()
+        span = instruments().tracer.current()
         record = {
             "schema": EVENTS_SCHEMA,
             "event": "log",
@@ -154,58 +166,6 @@ class EventLog:
         for sink in self.sinks:
             sink.write(record)
         return record
-
-
-class NullEventLog:
-    """The disabled event log: ``emit`` does nothing.  Kept trivial —
-    this object sits inside the runtime's event loop."""
-
-    enabled = False
-    level = "error"
-    sinks: list = []
-
-    def enabled_for(self, level: str) -> bool:
-        return False
-
-    def emit(
-        self, name: str, message: str = "", *, level: str = "info", **attrs
-    ) -> None:
-        return None
-
-
-_NULL_EVENT_LOG = NullEventLog()
-_event_log_lock = threading.Lock()
-_current_event_log: EventLog | NullEventLog = _NULL_EVENT_LOG
-
-
-def get_event_log() -> EventLog | NullEventLog:
-    """The process-wide event log instrumented code reports to."""
-    return _current_event_log
-
-
-def set_event_log(
-    log: Optional[EventLog | NullEventLog],
-) -> EventLog | NullEventLog:
-    """Install ``log`` (None restores the no-op default); returns the
-    previously installed log so callers can restore it."""
-    global _current_event_log
-    with _event_log_lock:
-        previous = _current_event_log
-        _current_event_log = log if log is not None else _NULL_EVENT_LOG
-    return previous
-
-
-@contextmanager
-def installed_event_log(
-    log: EventLog | NullEventLog,
-) -> Iterator[EventLog | NullEventLog]:
-    """Scoped :func:`set_event_log` — the previous log is restored on
-    exit, so tests and CLI commands cannot leak logging state."""
-    previous = set_event_log(log)
-    try:
-        yield log
-    finally:
-        set_event_log(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +206,8 @@ class LoggingBridge:
     """Forwards event records to stdlib :mod:`logging`.
 
     Third-party embedders that already run a logging setup attach one of
-    these (or install an :class:`EventLog` containing one via
-    :func:`set_event_log`) and our structured events surface as ordinary
+    these (or install an :class:`EventLog` containing one with
+    ``installed(event_log=...)``) and our structured events surface as ordinary
     log records under the ``repro.<event name>`` hierarchy — level
     mapped through :data:`PY_LEVELS`, attributes rendered as sorted
     ``key=value`` pairs.
@@ -273,66 +233,20 @@ class LoggingBridge:
 # Reading streams back
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "schema", "event", "seq", "time_seconds", "level", "name", "message",
-    "trace_id", "span_id", "attrs",
-)
-
-
-def validate_event_record(record: dict) -> None:
-    """Raise :class:`EventError` unless ``record`` is a well-formed
-    event envelope (the schema in ``docs/OBSERVABILITY.md``)."""
-    if not isinstance(record, dict):
-        raise EventError("event record must be a JSON object")
-    missing = [key for key in _REQUIRED_KEYS if key not in record]
-    if missing:
-        raise EventError(f"event record missing keys {missing}")
-    if record["schema"] != EVENTS_SCHEMA:
-        raise EventError(
-            f"unsupported events schema {record['schema']!r} "
-            f"(speaking {EVENTS_SCHEMA})"
-        )
-    if record["event"] != "log":
-        raise EventError(f"unknown event kind {record['event']!r}")
-    if not isinstance(record["seq"], int) or record["seq"] < 1:
-        raise EventError("seq must be a positive int")
-    if not isinstance(record["time_seconds"], (int, float)):
-        raise EventError("time_seconds must be a number")
-    if record["level"] not in _LEVEL_RANK:
-        raise EventError(f"unknown event level {record['level']!r}")
-    if not isinstance(record["name"], str) or not record["name"]:
-        raise EventError("event needs a non-empty name")
-    if not isinstance(record["message"], str):
-        raise EventError("message must be a string")
-    if record["trace_id"] is not None and not isinstance(
-        record["trace_id"], str
-    ):
-        raise EventError("trace_id must be a string or null")
-    if record["span_id"] is not None and not isinstance(
-        record["span_id"], int
-    ):
-        raise EventError("span_id must be an int or null")
-    if not isinstance(record["attrs"], dict):
-        raise EventError("attrs must be an object")
-
-
-def read_events(path) -> list[dict]:
-    """Parse and validate a JSONL events file.
-
-    A truncated final line (crashed writer) is skipped with a
-    :class:`~repro.obs.sinks.TraceWarning`; see
-    :func:`repro.obs.sinks.read_jsonl`.
-    """
-    return read_jsonl(path, validate=validate_event_record, error=EventError)
-
-
-def validate_events(path) -> list[dict]:
-    """:func:`read_events` plus a non-emptiness check — the executable
-    form CI runs over the smoke campaign's events artifact."""
-    records = read_events(path)
-    if not records:
-        raise EventError(f"{path}: events file holds no event records")
-    return records
+#: One line of a JSONL event stream (the schema in
+#: ``docs/OBSERVABILITY.md``).
+EVENT_SPEC = Spec("event record", EventError, {
+    "schema": schema_version("events", EVENTS_SCHEMA),
+    "event": const("log", "unknown event kind {value!r}"),
+    "seq": POS_INT,
+    "time_seconds": NUMBER,
+    "level": one_of(LEVELS),
+    "name": NAME,
+    "message": STR,
+    "trace_id": nullable(STR),
+    "span_id": nullable(INT),
+    "attrs": OBJECT,
+}, empty="events file holds no event records")
 
 
 def filter_events(
@@ -371,9 +285,10 @@ def follow_events(
     appended — ``tail -f`` for ``--events`` streams, no daemon needed.
 
     Polls by byte offset every ``poll_seconds``.  The same crashed-writer
-    tolerance as :func:`repro.obs.sinks.read_jsonl`, live: a final line
-    still missing its newline is an in-flight ``os.write``, so it stays
-    buffered until the rest arrives instead of being parsed half-done.
+    tolerance as :meth:`repro.obs.schema.Spec.read_lines`, live: a final
+    line still missing its newline is an in-flight ``os.write``, so it
+    stays buffered until the rest arrives instead of being parsed
+    half-done.
     A *complete* line that fails validation raises :class:`EventError` —
     that was a full write, so corruption there is real.  A file that
     does not exist yet is waited for.  ``stop`` (checked once per poll)
@@ -408,7 +323,7 @@ def follow_events(
                     raise EventError(
                         f"{target}: invalid JSON on a complete line: {exc}"
                     ) from exc
-                validate_event_record(record)
+                EVENT_SPEC.validate(record)
                 yield record
             continue  # a burst may already hold more complete lines
         if stop is not None and stop():

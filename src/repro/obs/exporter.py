@@ -43,6 +43,11 @@ from repro.obs.metrics import MetricsRegistry
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: How often a ``serve_forever`` loop checks for shutdown, so closing
+#: the exporter (or the daemon) waits at most this long instead of
+#: socketserver's default half second.
+POLL_SECONDS = 0.05
+
 
 class ExporterError(RuntimeError):
     """The exporter could not bind or is used before :meth:`start`."""
@@ -196,7 +201,7 @@ class MetricsExporter:
         server.exporter = self
         self._server = server
         self._thread = threading.Thread(
-            target=server.serve_forever, daemon=True,
+            target=server.serve_forever, args=(POLL_SECONDS,), daemon=True,
             name="repro-http-exporter",
         )
         self._thread.start()

@@ -40,12 +40,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.obs.bench import (
+    BENCH_SPEC,
     BenchError,
     IMPROVEMENT,
     REGRESSION,
-    read_bench,
 )
-from repro.obs.events import get_event_log
+from repro.obs.context import instruments
 
 #: Unicode sparkline ramp for the text trend table.
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -95,11 +95,11 @@ def load_history(
         if not path.is_file():
             continue
         try:
-            payloads.append((path.name, read_bench(path)))
+            payloads.append((path.name, BENCH_SPEC.read(path)))
         except (BenchError, OSError, UnicodeDecodeError) as exc:
             reason = str(exc)
             skipped.append({"file": path.name, "reason": reason})
-            get_event_log().emit(
+            instruments().event_log.emit(
                 "bench.history.skipped",
                 "unreadable bench payload skipped",
                 level="warn",

@@ -19,27 +19,41 @@ same name the span tree shows) and ``repro bench --attribute`` can
 cross-reference both.
 
 Like tracing and events, profiling is strictly opt-in: the default
-profiler is a :class:`NullProfiler` whose :meth:`~NullProfiler.section`
-hands back one shared no-op context manager, pinned by a
-micro-benchmark in ``tests/obs/test_profile.py`` to the same bound as
-the null tracer — the anchors sit inside the runtime's hot loops.
+``profiler`` of :mod:`repro.obs.context` is a :class:`NullProfiler`
+whose :meth:`~NullProfiler.section` hands back one shared no-op context
+manager — the anchors sit inside the runtime's hot loops and reach the
+profiler through ``instruments().section(name)``.
 
 Payloads are schema-versioned ``PROFILE_<UTCSTAMP>.json`` documents
-(:func:`profile_payload` / :func:`validate_profile` /
-:func:`read_profile` / :func:`write_profile`), documented in
-``docs/BENCHMARKS.md``.  The clock is injectable, so tests produce
-byte-deterministic golden payloads.
+(:func:`profile_payload`, validated and written through
+:data:`PROFILE_SPEC`), documented in ``docs/BENCHMARKS.md``.  The clock
+is injectable, so tests produce byte-deterministic golden payloads.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
+
+from repro.obs.bench import FINGERPRINT, document
+# NullProfiler is re-exported: it is this plane's off state.
+from repro.obs.context import NullProfiler
+from repro.obs.schema import (
+    NAME,
+    NONNEG_INT,
+    NONNEG_NUMBER,
+    POS_INT,
+    STR,
+    ListOf,
+    Maybe,
+    Obj,
+    Spec,
+    const,
+    schema_version,
+)
 
 #: Bump when the PROFILE_*.json payload layout changes.
 PROFILE_SCHEMA = 1
@@ -233,78 +247,6 @@ class SamplingProfiler:
         )
 
 
-class _NullSection:
-    """The shared do-nothing context manager the null profiler hands
-    out — one attribute lookup plus one call on the hot path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
-
-class NullProfiler:
-    """The disabled profiler: ``section()`` is a shared no-op context
-    manager.  Kept deliberately trivial — the anchors sit in the
-    interpreter's event loop, the checker, and the inference fixpoint."""
-
-    enabled = False
-    interval_seconds = 0.0
-    sample_count = 0
-
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
-
-    def sample_now(self) -> int:
-        return 0
-
-    def samples(self) -> list:
-        return []
-
-
-_NULL_PROFILER = NullProfiler()
-_profiler_lock = threading.Lock()
-_current_profiler: SamplingProfiler | NullProfiler = _NULL_PROFILER
-
-
-def get_profiler() -> SamplingProfiler | NullProfiler:
-    """The process-wide profiler instrumented anchors report to."""
-    return _current_profiler
-
-
-def set_profiler(
-    profiler: Optional[SamplingProfiler | NullProfiler],
-) -> SamplingProfiler | NullProfiler:
-    """Install ``profiler`` (None restores the no-op default); returns
-    the previously installed profiler so callers can restore it."""
-    global _current_profiler
-    with _profiler_lock:
-        previous = _current_profiler
-        _current_profiler = (
-            profiler if profiler is not None else _NULL_PROFILER
-        )
-    return previous
-
-
-@contextmanager
-def installed_profiler(
-    profiler: SamplingProfiler | NullProfiler,
-) -> Iterator[SamplingProfiler | NullProfiler]:
-    """Scoped :func:`set_profiler` — the previous profiler is restored
-    on exit, so tests and CLI commands cannot leak profiling state."""
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
-
-
 # ---------------------------------------------------------------------------
 # Payload schema
 # ---------------------------------------------------------------------------
@@ -318,120 +260,45 @@ def profile_payload(
     fingerprint: Optional[dict] = None,
     created_utc: Optional[str] = None,
 ) -> dict:
-    """The schema-versioned JSON form of one profiling run.  The
-    environment fingerprint and timestamp default to the live ones and
-    are injectable for byte-stable golden tests."""
-    from repro.obs.bench import environment_fingerprint, utc_now
-
+    """The schema-versioned JSON form of one profiling run (see
+    :func:`repro.obs.bench.document` for the pinnable header)."""
     samples = [dict(sample) for sample in samples]
-    return {
-        "schema": PROFILE_SCHEMA,
-        "kind": "profile",
-        "created_utc": created_utc if created_utc is not None else utc_now(),
-        "interval_seconds": interval_seconds,
-        "duration_seconds": duration_seconds,
-        "sample_count": sum(int(s.get("count", 0)) for s in samples),
-        "fingerprint": (
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
-        ),
-        "samples": samples,
-    }
+    return document(
+        PROFILE_SCHEMA, "profile", fingerprint=fingerprint,
+        created_utc=created_utc, interval_seconds=interval_seconds,
+        duration_seconds=duration_seconds,
+        sample_count=sum(int(s.get("count", 0)) for s in samples),
+        samples=samples,
+    )
 
 
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
-
-
-def validate_profile(payload: dict) -> dict:
-    """Raise :class:`ProfileError` unless ``payload`` is a well-formed
-    profile document (the schema in ``docs/BENCHMARKS.md``); returns
-    it.  An *empty* sample list is valid — a fast run can finish before
-    the first sampling tick."""
-    if not isinstance(payload, dict):
-        raise ProfileError("profile payload must be a JSON object")
-    if payload.get("schema") != PROFILE_SCHEMA:
-        raise ProfileError(
-            f"unsupported profile schema {payload.get('schema')!r} "
-            f"(speaking {PROFILE_SCHEMA})"
+def _sample_count_sums(payload: dict) -> Optional[str]:
+    total = sum(sample["count"] for sample in payload["samples"])
+    if payload["sample_count"] != total:
+        return (
+            f"sample_count {payload['sample_count']!r} != summed sample "
+            f"counts {total}"
         )
-    if payload.get("kind") != "profile":
-        raise ProfileError(f"unknown profile kind {payload.get('kind')!r}")
-    if not isinstance(payload.get("created_utc"), str):
-        raise ProfileError("created_utc must be a string")
-    for key in ("interval_seconds", "duration_seconds"):
-        value = payload.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ProfileError(f"{key} must be a non-negative number")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise ProfileError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise ProfileError(f"fingerprint missing keys {missing}")
-    samples = payload.get("samples")
-    if not isinstance(samples, list):
-        raise ProfileError("samples must be a list")
-    total = 0
-    for index, sample in enumerate(samples):
-        if not isinstance(sample, dict):
-            raise ProfileError(f"samples[{index}] must be an object")
-        section = sample.get("section")
-        if section is not None and not isinstance(section, str):
-            raise ProfileError(
-                f"samples[{index}]: section must be a string or null"
-            )
-        stack = sample.get("stack")
-        if (
-            not isinstance(stack, list)
-            or not all(isinstance(fn, str) and fn for fn in stack)
-        ):
-            raise ProfileError(
-                f"samples[{index}]: stack must be a list of non-empty "
-                f"strings"
-            )
-        count = sample.get("count")
-        if not isinstance(count, int) or count < 1:
-            raise ProfileError(
-                f"samples[{index}]: count must be a positive int"
-            )
-        total += count
-    if payload.get("sample_count") != total:
-        raise ProfileError(
-            f"sample_count {payload.get('sample_count')!r} != summed "
-            f"sample counts {total}"
-        )
-    return payload
+    return None
 
 
-def read_profile(path: str | Path) -> dict:
-    """Parse and validate one PROFILE json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_profile(payload)
-    except ProfileError as exc:
-        raise ProfileError(f"{path}: {exc}") from exc
-
-
-def dumps_profile(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_profile(payload: dict, path: str | Path | None = None) -> Path:
-    """Write ``payload`` to ``path``, defaulting to
-    ``PROFILE_<UTCSTAMP>.json`` in the current directory (the same
-    trajectory convention as ``BENCH_*.json``)."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"PROFILE_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_profile(payload), encoding="utf-8")
-    return path
+#: The PROFILE_*.json document (the schema in ``docs/BENCHMARKS.md``).
+#: An *empty* sample list is valid — a fast run can finish before the
+#: first sampling tick.
+PROFILE_SPEC = Spec("profile payload", ProfileError, {
+    "schema": schema_version("profile", PROFILE_SCHEMA),
+    "kind": const("profile", "unknown profile kind {value!r}"),
+    "created_utc": STR,
+    "interval_seconds": NONNEG_NUMBER,
+    "duration_seconds": NONNEG_NUMBER,
+    "fingerprint": FINGERPRINT,
+    "sample_count": NONNEG_INT,
+    "samples": ListOf(Obj({
+        "section": Maybe(STR),
+        "stack": ListOf(NAME),
+        "count": POS_INT,
+    })),
+}, checks=(_sample_count_sums,), file_prefix="PROFILE")
 
 
 # ---------------------------------------------------------------------------

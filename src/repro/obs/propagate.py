@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.obs.sinks import JsonlTraceWriter, read_trace
-from repro.obs.trace import Span, Tracer, get_tracer, installed_tracer
+from repro.obs.context import installed, instruments
+from repro.obs.sinks import SPAN_SPEC, JsonlTraceWriter
+from repro.obs.trace import Span, Tracer
 
 from contextlib import contextmanager
 
@@ -118,7 +119,7 @@ def current_context() -> Optional[TraceContext]:
     """The active span as a :class:`TraceContext`, or ``None`` when no
     span is open (always ``None`` under the :class:`NullTracer` — one
     method call, no allocation)."""
-    span = get_tracer().current()
+    span = instruments().tracer.current()
     if span is None:
         return None
     return TraceContext(trace_id=span.trace_id, span_id=span.span_id)
@@ -191,7 +192,7 @@ def worker_traced(trace: Optional[dict], **attrs) -> Iterator[Optional[Span]]:
         return
     context = TraceContext.from_traceparent(trace["traceparent"])
     tracer = _worker_tracer(str(trace["dir"]))
-    with installed_tracer(tracer):
+    with installed(tracer=tracer):
         with tracer.attached(context):
             with tracer.span(
                 "worker.shard", pid=os.getpid(), **attrs
@@ -236,7 +237,7 @@ def merge_traces(
       — it already names a *driver* span;
     * a worker event whose parent id never closed in its file (worker
       killed mid-write) keeps a dangling — renumbered, collision-free —
-      parent: :func:`repro.obs.sinks.validate_trace` counts it as an
+      parent: :data:`repro.obs.sinks.SPAN_SPEC` counts it as an
       orphan and :func:`repro.obs.sinks.build_forest` renders it under
       a synthetic per-process root, never dropping it;
     * every worker event gains ``"pid"``, parsed from its file name
@@ -248,7 +249,7 @@ def merge_traces(
       child before its parent — the invariant the self-time accounting
       of :func:`repro.obs.sinks.aggregate_trace` needs.
     """
-    driver_events = read_trace(driver_path)
+    driver_events = SPAN_SPEC.read_lines(driver_path)
     highest = max(
         (event["span_id"] for event in driver_events), default=0
     )
@@ -267,7 +268,7 @@ def merge_traces(
                 next_id += 1
             return mapped
 
-        for event in read_trace(path):
+        for event in SPAN_SPEC.read_lines(path):
             event = dict(event)
             event["span_id"] = renumber(event["span_id"])
             if event["parent_id"] is not None and not event.get(

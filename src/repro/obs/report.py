@@ -855,14 +855,17 @@ def write_report(
     generated_at: Optional[str] = None,
 ) -> str:
     """Load the inputs, render, and write ``path``; returns the HTML."""
-    from repro.obs.events import read_events
+    from repro.obs.events import EVENT_SPEC
 
     campaign = None
     if campaign_path is not None:
         campaign = json.loads(
             Path(campaign_path).read_text(encoding="utf-8")
         )
-    events = read_events(events_path) if events_path is not None else None
+    events = (
+        EVENT_SPEC.read_lines(events_path)
+        if events_path is not None else None
+    )
     benches = [
         (Path(bench).name, json.loads(Path(bench).read_text(encoding="utf-8")))
         for bench in bench_paths

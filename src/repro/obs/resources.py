@@ -17,16 +17,14 @@ measures what the process *holds* while it runs:
   exposes ``occupancy()``).
 
 Like tracing, events, and profiling, resource monitoring is strictly
-opt-in: the default monitor is a :class:`NullResourceMonitor` whose
-``section()`` hands back one shared no-op context manager, pinned by a
-micro-benchmark in ``tests/obs/test_resources.py`` beside the null
-tracer/event-log/profiler pins — the anchors sit inside the runtime's
-hot loops.
+opt-in: the default ``monitor`` of :mod:`repro.obs.context` is a
+:class:`NullResourceMonitor` whose ``section()`` hands back one shared
+no-op context manager — the anchors sit inside the runtime's hot loops.
 
 Payloads are schema-versioned ``MEM_*.json`` documents
-(:func:`resources_payload` / :func:`validate_resources` /
-:func:`read_resources` / :func:`write_resources`), written by ``repro
-bench --mem-json FILE`` and documented in ``docs/BENCHMARKS.md``.  The
+(:func:`resources_payload`, validated and written through
+:data:`RESOURCES_SPEC`), written by ``repro bench --mem-json FILE`` and
+documented in ``docs/BENCHMARKS.md``.  The
 clock and the RSS/allocation suppliers are injectable, so tests produce
 byte-deterministic golden payloads.
 """
@@ -34,13 +32,28 @@ byte-deterministic golden payloads.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Iterator, Optional
+
+from repro.obs.bench import FINGERPRINT, document
+# NullResourceMonitor is re-exported: it is this plane's off state.
+from repro.obs.context import NullResourceMonitor
+from repro.obs.schema import (
+    INT,
+    NONNEG_INT,
+    NONNEG_NUMBER,
+    STR,
+    ListOf,
+    MapOf,
+    Maybe,
+    Obj,
+    Spec,
+    const,
+    schema_version,
+)
 
 #: Bump when the MEM_*.json payload layout changes.
 RESOURCES_SCHEMA = 1
@@ -331,101 +344,6 @@ class ResourceMonitor:
         )
 
 
-class _NullSection:
-    """The shared do-nothing context manager the null monitor hands
-    out — one attribute lookup plus one call on the hot path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
-_ZERO_GC = {
-    "collections": 0,
-    "pause_seconds_total": 0.0,
-    "collections_by_generation": {},
-}
-
-
-class NullResourceMonitor:
-    """The disabled monitor: ``section()`` is a shared no-op context
-    manager.  Kept deliberately trivial — the anchors share the
-    profiler's hot-loop placement, so the off state must cost ~nothing
-    (pinned in ``tests/obs/test_resources.py``)."""
-
-    enabled = False
-
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
-
-    def begin_sample(self) -> None:
-        pass
-
-    def end_sample(self) -> None:
-        return None
-
-    def gc_snapshot(self) -> dict:
-        return dict(_ZERO_GC)
-
-    def sections(self) -> list:
-        return []
-
-    def watch_cache(self, name: str, supplier) -> None:
-        pass
-
-    def cache_occupancy(self) -> dict:
-        return {}
-
-    def peak_rss(self) -> None:
-        return None
-
-    def alloc_snapshot(self) -> tuple[None, None]:
-        return (None, None)
-
-
-_NULL_MONITOR = NullResourceMonitor()
-_monitor_lock = threading.Lock()
-_current_monitor: ResourceMonitor | NullResourceMonitor = _NULL_MONITOR
-
-
-def get_resource_monitor() -> ResourceMonitor | NullResourceMonitor:
-    """The process-wide monitor instrumented anchors report to."""
-    return _current_monitor
-
-
-def set_resource_monitor(
-    monitor: Optional[ResourceMonitor | NullResourceMonitor],
-) -> ResourceMonitor | NullResourceMonitor:
-    """Install ``monitor`` (None restores the no-op default); returns
-    the previously installed monitor so callers can restore it."""
-    global _current_monitor
-    with _monitor_lock:
-        previous = _current_monitor
-        _current_monitor = (
-            monitor if monitor is not None else _NULL_MONITOR
-        )
-    return previous
-
-
-@contextmanager
-def installed_resource_monitor(
-    monitor: ResourceMonitor | NullResourceMonitor,
-) -> Iterator[ResourceMonitor | NullResourceMonitor]:
-    """Scoped :func:`set_resource_monitor` — the previous monitor is
-    restored on exit, so tests and CLI commands cannot leak state."""
-    previous = set_resource_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        set_resource_monitor(previous)
-
-
 # ---------------------------------------------------------------------------
 # Payload schema
 # ---------------------------------------------------------------------------
@@ -437,141 +355,46 @@ def resources_payload(
     fingerprint: Optional[dict] = None,
     created_utc: Optional[str] = None,
 ) -> dict:
-    """The schema-versioned JSON form of one monitoring run.  The
-    environment fingerprint and timestamp default to the live ones and
-    are injectable for byte-stable golden tests."""
-    from repro.obs.bench import environment_fingerprint, utc_now
-
-    return {
-        "schema": RESOURCES_SCHEMA,
-        "kind": "resources",
-        "created_utc": created_utc if created_utc is not None else utc_now(),
-        "fingerprint": (
-            fingerprint if fingerprint is not None
-            else environment_fingerprint()
-        ),
-        "duration_seconds": float(snapshot.get("duration_seconds", 0.0)),
-        "peak_rss_bytes": snapshot.get("peak_rss_bytes"),
-        "alloc_current_bytes": snapshot.get("alloc_current_bytes"),
-        "alloc_peak_bytes": snapshot.get("alloc_peak_bytes"),
-        "gc": snapshot.get("gc", dict(_ZERO_GC)),
-        "sections": list(snapshot.get("sections", [])),
-        "caches": dict(snapshot.get("caches", {})),
-    }
+    """The schema-versioned JSON form of one monitoring run (see
+    :func:`repro.obs.bench.document` for the pinnable header)."""
+    return document(
+        RESOURCES_SCHEMA, "resources", fingerprint=fingerprint,
+        created_utc=created_utc,
+        duration_seconds=float(snapshot.get("duration_seconds", 0.0)),
+        peak_rss_bytes=snapshot.get("peak_rss_bytes"),
+        alloc_current_bytes=snapshot.get("alloc_current_bytes"),
+        alloc_peak_bytes=snapshot.get("alloc_peak_bytes"),
+        gc=snapshot.get("gc", NullResourceMonitor().gc_snapshot()),
+        sections=list(snapshot.get("sections", [])),
+        caches=dict(snapshot.get("caches", {})),
+    )
 
 
-_FINGERPRINT_KEYS = (
-    "python", "implementation", "platform", "machine", "cpu_count", "git_sha",
-)
-
-
-def _require_optional_nonneg_int(payload: dict, key: str) -> None:
-    value = payload.get(key)
-    if value is not None and (not isinstance(value, int) or value < 0):
-        raise ResourceError(f"{key} must be a non-negative int or null")
-
-
-def validate_resources(payload: dict) -> dict:
-    """Raise :class:`ResourceError` unless ``payload`` is a well-formed
-    resources document (the schema in ``docs/BENCHMARKS.md``); returns
-    it."""
-    if not isinstance(payload, dict):
-        raise ResourceError("resources payload must be a JSON object")
-    if payload.get("schema") != RESOURCES_SCHEMA:
-        raise ResourceError(
-            f"unsupported resources schema {payload.get('schema')!r} "
-            f"(speaking {RESOURCES_SCHEMA})"
-        )
-    if payload.get("kind") != "resources":
-        raise ResourceError(
-            f"unknown resources kind {payload.get('kind')!r}"
-        )
-    if not isinstance(payload.get("created_utc"), str):
-        raise ResourceError("created_utc must be a string")
-    fingerprint = payload.get("fingerprint")
-    if not isinstance(fingerprint, dict):
-        raise ResourceError("fingerprint must be an object")
-    missing = [key for key in _FINGERPRINT_KEYS if key not in fingerprint]
-    if missing:
-        raise ResourceError(f"fingerprint missing keys {missing}")
-    duration = payload.get("duration_seconds")
-    if not isinstance(duration, (int, float)) or duration < 0:
-        raise ResourceError("duration_seconds must be a non-negative number")
-    for key in ("peak_rss_bytes", "alloc_current_bytes", "alloc_peak_bytes"):
-        _require_optional_nonneg_int(payload, key)
-    gc_doc = payload.get("gc")
-    if not isinstance(gc_doc, dict):
-        raise ResourceError("gc must be an object")
-    if not isinstance(gc_doc.get("collections"), int) \
-            or gc_doc["collections"] < 0:
-        raise ResourceError("gc.collections must be a non-negative int")
-    pause = gc_doc.get("pause_seconds_total")
-    if not isinstance(pause, (int, float)) or pause < 0:
-        raise ResourceError(
-            "gc.pause_seconds_total must be a non-negative number"
-        )
-    by_gen = gc_doc.get("collections_by_generation")
-    if not isinstance(by_gen, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in by_gen.items()
-    ):
-        raise ResourceError(
-            "gc.collections_by_generation must map generation -> count"
-        )
-    sections = payload.get("sections")
-    if not isinstance(sections, list):
-        raise ResourceError("sections must be a list")
-    for index, row in enumerate(sections):
-        if not isinstance(row, dict) or not isinstance(row.get("name"), str):
-            raise ResourceError(f"sections[{index}] needs a name")
-        if not isinstance(row.get("count"), int) or row["count"] < 0:
-            raise ResourceError(
-                f"sections[{index}]: count must be a non-negative int"
-            )
-        if not isinstance(row.get("net_alloc_bytes"), int):
-            raise ResourceError(
-                f"sections[{index}]: net_alloc_bytes must be an int"
-            )
-    caches = payload.get("caches")
-    if not isinstance(caches, dict):
-        raise ResourceError("caches must be an object")
-    for name, tier in caches.items():
-        if not isinstance(tier, dict):
-            raise ResourceError(f"cache {name!r}: tier must be an object")
-        for key in ("entries", "bytes"):
-            if not isinstance(tier.get(key), int) or tier[key] < 0:
-                raise ResourceError(
-                    f"cache {name!r}: {key} must be a non-negative int"
-                )
-    return payload
-
-
-def read_resources(path: str | Path) -> dict:
-    """Parse and validate one MEM json file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResourceError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return validate_resources(payload)
-    except ResourceError as exc:
-        raise ResourceError(f"{path}: {exc}") from exc
-
-
-def dumps_resources(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_resources(payload: dict, path: str | Path | None = None) -> Path:
-    """Write ``payload`` to ``path``, defaulting to
-    ``MEM_<UTCSTAMP>.json`` in the current directory (the same
-    trajectory convention as ``BENCH_*.json``)."""
-    if path is None:
-        stamp = payload["created_utc"].replace("-", "").replace(":", "")
-        path = Path.cwd() / f"MEM_{stamp}.json"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_resources(payload), encoding="utf-8")
-    return path
+#: The MEM_*.json document (the schema in ``docs/BENCHMARKS.md``).
+RESOURCES_SPEC = Spec("resources payload", ResourceError, {
+    "schema": schema_version("resources", RESOURCES_SCHEMA),
+    "kind": const("resources", "unknown resources kind {value!r}"),
+    "created_utc": STR,
+    "fingerprint": FINGERPRINT,
+    "duration_seconds": NONNEG_NUMBER,
+    "peak_rss_bytes": Maybe(NONNEG_INT),
+    "alloc_current_bytes": Maybe(NONNEG_INT),
+    "alloc_peak_bytes": Maybe(NONNEG_INT),
+    "gc": Obj({
+        "collections": NONNEG_INT,
+        "pause_seconds_total": NONNEG_NUMBER,
+        "collections_by_generation": MapOf(INT),
+    }),
+    "sections": ListOf(Obj({
+        "name": STR,
+        "count": NONNEG_INT,
+        "net_alloc_bytes": INT,
+    }), key="name"),
+    "caches": MapOf(Obj({
+        "entries": NONNEG_INT,
+        "bytes": NONNEG_INT,
+    }), label="cache"),
+}, file_prefix="MEM")
 
 
 # ---------------------------------------------------------------------------

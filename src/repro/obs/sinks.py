@@ -13,9 +13,9 @@ A sink is anything with ``emit(span)``; the tracer calls it once per
 * :func:`format_tree` — a human rendering of one span tree with
   durations and per-phase percentages.
 
-:func:`read_trace` / :func:`validate_trace` are the executable form of
-the JSONL schema documented in ``docs/OBSERVABILITY.md``; CI runs them
-over the smoke campaign's trace.
+:data:`SPAN_SPEC` is the executable form of the JSONL schema documented
+in ``docs/OBSERVABILITY.md``; CI reads the smoke campaign's trace with
+``SPAN_SPEC.read_lines(path, required=True)``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,20 @@ import os
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
+from repro.obs.schema import (
+    ANY,
+    INT,
+    NAME,
+    NUMBER,
+    OBJECT,
+    Spec,
+    TraceWarning,
+    const,
+    nullable,
+    schema_version,
+)
 from repro.obs.trace import Span, TRACE_SCHEMA, span_event
 
 
@@ -265,107 +277,6 @@ class TraceError(ValueError):
     """A trace file violated the documented JSONL schema."""
 
 
-class TraceWarning(UserWarning):
-    """A recoverable defect in a JSONL stream (e.g. a truncated final
-    line left behind by a crashed writer) that the reader skipped."""
-
-
-def read_jsonl(
-    path: str | Path,
-    *,
-    validate: Callable[[dict], None],
-    error: type = TraceError,
-) -> list[dict]:
-    """Parse a JSONL file, validating each object with ``validate``.
-
-    A final line with no trailing newline is the signature of a writer
-    killed mid-``os.write``; if that line fails to parse or validate it
-    is *skipped* with a :class:`TraceWarning` instead of poisoning the
-    whole file — every complete line before it is still returned.  Any
-    defect on a newline-terminated line still raises ``error``: those
-    were complete writes, so corruption there is real.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    terminated = text.endswith("\n")
-    objects: list[dict] = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        truncated_tail = number == len(lines) and not terminated
-        try:
-            obj = json.loads(line)
-            validate(obj)
-        except (json.JSONDecodeError, ValueError) as exc:
-            detail = (
-                f"invalid JSON: {exc}"
-                if isinstance(exc, json.JSONDecodeError) else str(exc)
-            )
-            if truncated_tail:
-                warnings.warn(
-                    f"{path}:{number}: skipping truncated final line "
-                    f"(crashed writer?): {detail}",
-                    TraceWarning,
-                    stacklevel=2,
-                )
-                break
-            raise error(f"{path}:{number}: {detail}") from exc
-        objects.append(obj)
-    return objects
-
-
-_REQUIRED_EVENT_KEYS = (
-    "schema", "event", "trace_id", "span_id", "parent_id", "name",
-    "start_seconds", "duration_seconds", "cpu_seconds", "attrs", "counters",
-)
-
-
-def validate_event(event: dict) -> None:
-    """Raise :class:`TraceError` unless ``event`` is a well-formed span
-    event (the schema in ``docs/OBSERVABILITY.md``)."""
-    if not isinstance(event, dict):
-        raise TraceError("trace event must be a JSON object")
-    missing = [key for key in _REQUIRED_EVENT_KEYS if key not in event]
-    if missing:
-        raise TraceError(f"trace event missing keys {missing}")
-    if event["schema"] != TRACE_SCHEMA:
-        raise TraceError(
-            f"unsupported trace schema {event['schema']!r} "
-            f"(speaking {TRACE_SCHEMA})"
-        )
-    if event["event"] != "span":
-        raise TraceError(f"unknown trace event kind {event['event']!r}")
-    if not isinstance(event["name"], str) or not event["name"]:
-        raise TraceError("span event needs a non-empty name")
-    if not isinstance(event["span_id"], int):
-        raise TraceError("span_id must be an int")
-    if event["parent_id"] is not None and not isinstance(
-        event["parent_id"], int
-    ):
-        raise TraceError("parent_id must be an int or null")
-    for key in ("start_seconds", "duration_seconds", "cpu_seconds"):
-        if not isinstance(event[key], (int, float)):
-            raise TraceError(f"{key} must be a number")
-    for key in ("attrs", "counters"):
-        if not isinstance(event[key], dict):
-            raise TraceError(f"{key} must be an object")
-
-
-def read_trace(path: str | Path) -> list[dict]:
-    """Parse and validate a JSONL trace file into a list of events.
-
-    A truncated final line (crashed writer) is skipped with a
-    :class:`TraceWarning`; see :func:`read_jsonl`.
-    """
-
-    def check(event: dict) -> None:
-        if not isinstance(event, dict):
-            raise TraceError("trace event must be a JSON object")
-        validate_event(event)
-
-    return read_jsonl(path, validate=check, error=TraceError)
-
-
 def orphan_events(events: Iterable[dict]) -> list[dict]:
     """Span events whose parent id is absent from the stream — the
     signature of a run (or pool worker) killed before an enclosing span
@@ -381,16 +292,12 @@ def orphan_events(events: Iterable[dict]) -> list[dict]:
     ]
 
 
-def validate_trace(path: str | Path) -> list[dict]:
-    """:func:`read_trace` plus structural checks: the file must be
-    non-empty, and spans whose parent never closed (an interrupted run,
-    a worker killed mid-write, an unmerged per-worker file) are counted
-    in a :class:`TraceWarning` — reported, never dropped; renderers
-    group them under a synthetic ``<orphaned>`` root (see
+def _warn_orphans(path: str, events: list[dict]) -> None:
+    """Spans whose parent never closed (an interrupted run, a worker
+    killed mid-write, an unmerged per-worker file) are counted in a
+    :class:`TraceWarning` — reported, never dropped; renderers group
+    them under a synthetic ``<orphaned>`` root (see
     :func:`build_forest`)."""
-    events = read_trace(path)
-    if not events:
-        raise TraceError(f"{path}: trace file holds no span events")
     orphans = orphan_events(events)
     if orphans:
         traces = sorted({event["trace_id"] for event in orphans})
@@ -400,9 +307,25 @@ def validate_trace(path: str | Path) -> list[dict]:
             f"worker, or an unmerged per-worker file); renderers group "
             f"them under a synthetic <orphaned> root",
             TraceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return events
+
+
+#: One line of a JSONL trace: the flat :func:`span_event` form (the
+#: schema in ``docs/OBSERVABILITY.md``).
+SPAN_SPEC = Spec("trace event", TraceError, {
+    "schema": schema_version("trace", TRACE_SCHEMA),
+    "event": const("span", "unknown trace event kind {value!r}"),
+    "trace_id": ANY,
+    "span_id": INT,
+    "parent_id": nullable(INT),
+    "name": NAME,
+    "start_seconds": NUMBER,
+    "duration_seconds": NUMBER,
+    "cpu_seconds": NUMBER,
+    "attrs": OBJECT,
+    "counters": OBJECT,
+}, empty="trace file holds no span events", stream_check=_warn_orphans)
 
 
 def aggregate_trace(events: Iterable[dict]) -> list[dict]:

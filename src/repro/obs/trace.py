@@ -6,11 +6,12 @@ inference phase, a service request, a campaign shard.  Spans nest: the
 service handler threads tracing concurrently each grow their own
 well-nested tree and never interleave.
 
-Tracing is opt-in.  The default tracer is a :class:`NullTracer` whose
-``span()`` hands back one shared no-op object, so instrumented hot paths
-(the checker pipeline, injection trials, the inference fixpoint) cost a
-single attribute lookup and a method call when tracing is disabled —
-``tests/obs/test_trace.py`` pins that overhead with a micro-benchmark.
+Tracing is opt-in.  The default tracer is the :class:`NullTracer` of
+:mod:`repro.obs.context`, whose ``span()`` hands back one shared
+no-op object, so instrumented hot paths (the checker pipeline, injection
+trials, the inference fixpoint) cost a single attribute lookup and a
+method call when tracing is disabled.  Install a :class:`Tracer` with
+``installed(tracer=...)``.
 
 When a span *closes* it is emitted to every configured sink (see
 :mod:`repro.obs.sinks`): children close before their parents, so a
@@ -24,6 +25,8 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+# NullTracer is re-exported: it is this plane's off state.
+from repro.obs.context import NullTracer, _NullSpan, instruments
 #: Bump when the span event layout (``span_event``) changes.
 TRACE_SCHEMA = 1
 
@@ -261,92 +264,6 @@ class Tracer:
                 sink.emit(span)
 
 
-class _NullSpan:
-    """The shared do-nothing span the :class:`NullTracer` hands out."""
-
-    __slots__ = ()
-    name = "<null>"
-    attrs: dict = {}
-    counters: dict = {}
-    children: list = []
-    duration_seconds = None
-    cpu_seconds = None
-    closed = False
-    is_root = False
-    remote_parent = None
-
-    def set_attr(self, name: str, value) -> None:
-        pass
-
-    def count(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def child_seconds(self) -> dict:
-        return {}
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: ``span()`` is a shared no-op context manager.
-
-    Kept deliberately trivial — this object sits on every hot path in
-    the checker, the inference engine and the injection backends.
-    """
-
-    enabled = False
-    sinks: list = []
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def attached(self, context) -> _NullSpan:
-        # The shared null span doubles as a no-op context manager, so
-        # attaching a remote context with tracing off costs one call.
-        return _NULL_SPAN
-
-
-_NULL_TRACER = NullTracer()
-_tracer_lock = threading.Lock()
-_current_tracer: Tracer | NullTracer = _NULL_TRACER
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The process-wide tracer instrumented code reports to."""
-    return _current_tracer
-
-
-def set_tracer(tracer: Optional[Tracer | NullTracer]) -> Tracer | NullTracer:
-    """Install ``tracer`` (None restores the no-op default); returns the
-    previously installed tracer so callers can restore it."""
-    global _current_tracer
-    with _tracer_lock:
-        previous = _current_tracer
-        _current_tracer = tracer if tracer is not None else _NULL_TRACER
-    return previous
-
-
-@contextmanager
-def installed_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
-    """Scoped :func:`set_tracer` — the previous tracer is restored on
-    exit, so tests and CLI commands cannot leak tracing state."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
 @contextmanager
 def timed_span(
     name: str, timings: dict[str, float], **attrs
@@ -358,7 +275,7 @@ def timed_span(
     span tree and the timings dict from drifting apart.
     """
     start = time.perf_counter()
-    with get_tracer().span(name, **attrs) as span:
+    with instruments().tracer.span(name, **attrs) as span:
         try:
             yield span
         finally:

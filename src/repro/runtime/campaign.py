@@ -45,10 +45,9 @@ from repro.chaos.injector import (
     ChaosInjector,
     NullChaosInjector,
     chaos_recovery,
-    get_chaos,
 )
-from repro.obs import get_tracer, global_registry
-from repro.obs.events import get_event_log
+from repro.obs import global_registry
+from repro.obs.context import instruments
 from repro.obs.propagate import shard_trace_payload, worker_traced
 from repro.runtime.stabilization import InjectionTrial
 from repro.service.pool import ResilientPool, TaskFailure
@@ -499,7 +498,7 @@ class CampaignRunner:
     _torn: bool = field(default=False, init=False)
 
     def run(self) -> dict:
-        self._chaos = get_chaos()
+        self._chaos = instruments().chaos
         manifest = self._load_manifest()
         site_totals = manifest.get("site_totals") if manifest else None
         if site_totals is None:
@@ -524,7 +523,7 @@ class CampaignRunner:
             f"{len(planned) - len(pending)} already checkpointed, "
             f"{len(pending)} to run"
         )
-        get_event_log().emit(
+        instruments().event_log.emit(
             "campaign.plan",
             level="info",
             apps=list(self.config.apps),
@@ -551,7 +550,7 @@ class CampaignRunner:
             # every run, so chaos runs are reproducible end to end.
             rng=random.Random(f"backoff:{self.config.seed}"),
         )
-        tracer = get_tracer()
+        tracer = instruments().tracer
         # Worker faults cross the pickle boundary as part of the shard
         # payload; in-process mode keeps them off (a SIGKILL or a hang
         # would take the driver down with the shard).
@@ -611,7 +610,7 @@ class CampaignRunner:
         a replay after partial resume) is ignored without double-counting
         anything."""
         metrics = global_registry()
-        events = get_event_log()
+        events = instruments().event_log
         if shard.shard_id in self._manifest["shards"]:
             chaos_recovery(
                 "duplicate-ignored",

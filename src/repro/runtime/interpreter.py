@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.lang import ast
-from repro.obs.events import get_event_log
-from repro.obs.profile import get_profiler
+from repro.obs.context import instruments
 from repro.lang.symtab import BuiltinCall, MethodCall, ProgramInfo
 from repro.runtime.devices import DeviceBus, InputExhausted, OutputSink
 from repro.runtime.values import (
@@ -163,7 +162,7 @@ class Interpreter:
         level event log is installed, so the disabled path costs one
         global read and a method call.
         """
-        events = get_event_log()
+        events = instruments().event_log
         if not events.enabled or not events.enabled_for("debug"):
             return
         mark = self.iteration_marks[-1]
@@ -274,11 +273,8 @@ class Interpreter:
             raise SJavaRuntimeError(f"unhandled statement {type(stmt).__name__}", stmt)
 
     def _exec_event_loop(self, stmt: ast.While, frame: "_Frame") -> None:
-        from repro.obs.resources import get_resource_monitor
-
-        with get_profiler().section("interpreter.step"):
-            with get_resource_monitor().section("interpreter.step"):
-                self._exec_event_loop_body(stmt, frame)
+        with instruments().section("interpreter.step"):
+            self._exec_event_loop_body(stmt, frame)
 
     def _exec_event_loop_body(
         self, stmt: ast.While, frame: "_Frame"

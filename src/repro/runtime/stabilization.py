@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.lang.symtab import ProgramInfo
-from repro.obs import get_tracer
-from repro.obs.events import get_event_log
+from repro.obs.context import instruments
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import DeviceBus
 from repro.runtime.injection import ErrorInjector, StepCounter
@@ -224,7 +223,7 @@ class StabilizationExperiment:
         """One injected run corrupting the given site.  This is the unit
         campaigns sweep: exhaustive/stratified plans enumerate sites
         explicitly instead of sampling them."""
-        with get_tracer().span(
+        with instruments().tracer.span(
             "trial", site=target_step, seed=seed, burst=burst
         ) as span:
             trial = self._trial_at(target_step, seed, burst, span)
@@ -243,7 +242,7 @@ class StabilizationExperiment:
             replace(self.options, step_budget=budget)
             if budget is not None else self.options
         )
-        events = get_event_log()
+        events = instruments().event_log
         try:
             interpreter = self._run(injector, options)
         except StepBudgetExceeded:

@@ -31,8 +31,9 @@ from pathlib import Path
 from typing import Optional
 
 import repro
-from repro.chaos.injector import chaos_recovery, get_chaos
+from repro.chaos.injector import chaos_recovery
 from repro.core.checker import CheckReport
+from repro.obs.context import instruments
 from repro.service.protocol import PROTOCOL_VERSION
 
 #: Bump when the on-disk entry layout changes.
@@ -175,7 +176,7 @@ class ResultCache:
         if self.disk_dir is None:
             return None
         path = self._entry_path(key)
-        get_chaos().slow_point("cache.read", key)
+        instruments().chaos.slow_point("cache.read", key)
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
@@ -222,7 +223,7 @@ class ResultCache:
         }
         path = self._entry_path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        chaos = get_chaos()
+        chaos = instruments().chaos
         chaos.slow_point("cache.write", key)
         blob = json.dumps(entry).encode("utf-8")
         # A planned cache-corrupt fault truncates the entry *after* the

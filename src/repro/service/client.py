@@ -33,7 +33,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.chaos.injector import chaos_recovery, get_chaos
+from repro.chaos.injector import chaos_recovery
+from repro.obs.context import instruments
 from repro.obs.propagate import current_context
 from repro.service import protocol
 
@@ -270,7 +271,7 @@ class ReproClient:
             else min(self.timeout, remaining)
         )
         self._sock.sendall((protocol.dumps(payload) + "\n").encode("utf-8"))
-        if get_chaos().drop_point("client.request", key):
+        if instruments().chaos.drop_point("client.request", key):
             # Injected connection reset mid-request: the request went
             # out but the connection dies before the response is read —
             # what a client sees when its peer resets under it.
@@ -290,7 +291,7 @@ class ReproClient:
         if not line:
             raise ConnectionDropped("daemon closed the connection")
         response = protocol.loads(line.decode("utf-8"))
-        protocol.validate_version(response)
+        protocol.ENVELOPE_SPEC.validate(response)
         return response
 
     def _checked(self, payload: dict) -> dict:

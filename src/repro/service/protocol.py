@@ -3,8 +3,8 @@
 Every payload the service emits — ``repro check --json``, ``repro batch
 --json``, daemon responses — is a JSON object carrying a ``version``
 field so clients can reject envelopes they do not understand.  The
-schema is documented in ``docs/SERVICE.md``; :func:`validate_check_payload`
-is the executable version of that document.
+schema is documented in ``docs/SERVICE.md``; :data:`CHECK_SPEC` is the
+executable version of that document.
 
 Payload kinds:
 
@@ -14,7 +14,7 @@ Payload kinds:
 * ``error`` — a front-end or service failure (:func:`error_payload`);
 * ``campaign`` — the aggregate report of a fault-injection campaign
   (:func:`campaign_payload`; schema in ``docs/ROBUSTNESS.md``,
-  enforced by :func:`validate_campaign_payload`).
+  enforced by :data:`CAMPAIGN_SPEC`).
 
 Serialization is newline-delimited: :func:`dumps` produces exactly one
 line (no interior newlines), which is what the daemon speaks over its
@@ -38,6 +38,22 @@ from typing import Optional
 
 from repro.core.checker import CheckReport
 from repro.core.errors import Check, Severity
+from repro.obs.bench import BENCH_SPEC
+from repro.obs.schema import (
+    BOOL,
+    INT,
+    NONNEG_INT,
+    RATE,
+    STR,
+    Kind,
+    ListOf,
+    MapOf,
+    Maybe,
+    Obj,
+    Spec,
+    const,
+    one_of,
+)
 
 #: Bump the minor version for additive changes, the major version for
 #: breaking ones.  Cache entries embed this, so any bump invalidates the
@@ -96,7 +112,7 @@ def check_payload(
 
 
 def report_from_payload(payload: dict) -> CheckReport:
-    validate_check_payload(payload)
+    CHECK_SPEC.validate(payload)
     return CheckReport.from_dict(payload["report"])
 
 
@@ -137,21 +153,6 @@ def bench_payload(document: dict) -> dict:
     return {"version": PROTOCOL_VERSION, **document}
 
 
-def validate_bench_payload(payload: dict) -> None:
-    """Raise :class:`ProtocolError` unless ``payload`` is a well-formed
-    ``bench`` envelope (the inner document is checked by
-    :func:`repro.obs.bench.validate_bench`)."""
-    from repro.obs.bench import BenchError, validate_bench
-
-    validate_version(payload)
-    _require(payload.get("kind") == "bench",
-             f"expected kind 'bench', got {payload.get('kind')!r}")
-    try:
-        validate_bench({k: v for k, v in payload.items() if k != "version"})
-    except BenchError as exc:
-        raise ProtocolError(str(exc)) from exc
-
-
 def error_payload(
     message: str, *, file: Optional[str] = None, error: str = "front-end"
 ) -> dict:
@@ -172,140 +173,118 @@ def error_payload(
 # Validation
 # ---------------------------------------------------------------------------
 
-_SEVERITIES = {s.value for s in Severity}
-_CHECKS = {c.value for c in Check}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
-
-
-def validate_version(payload: dict) -> None:
-    version = payload.get("version")
-    _require(isinstance(version, str), "missing protocol version")
-    major = version.split(".", 1)[0]
-    _require(
-        major == PROTOCOL_VERSION.split(".", 1)[0],
-        f"unsupported protocol version {version!r} "
-        f"(speaking {PROTOCOL_VERSION})",
+def _speaks_our_major(version) -> bool:
+    return (
+        isinstance(version, str)
+        and version.split(".", 1)[0] == PROTOCOL_VERSION.split(".", 1)[0]
     )
 
 
-def validate_diagnostic(entry: dict) -> None:
-    _require(isinstance(entry, dict), "diagnostic must be an object")
-    _require(entry.get("severity") in _SEVERITIES,
-             f"bad severity {entry.get('severity')!r}")
-    _require(entry.get("check") in _CHECKS,
-             f"bad check kind {entry.get('check')!r}")
-    _require(isinstance(entry.get("message"), str), "diagnostic needs a message")
-    for field in ("line", "col"):
-        _require(isinstance(entry.get(field), int), f"diagnostic needs int {field}")
-    _require(isinstance(entry.get("context"), str), "diagnostic needs context")
+_VERSION = Kind(
+    "a protocol version",
+    _speaks_our_major,
+    message=(
+        f"unsupported protocol version {{value!r}} "
+        f"(speaking {PROTOCOL_VERSION})"
+    ),
+)
 
 
-def validate_check_payload(payload: dict) -> None:
-    """Raise :class:`ProtocolError` unless ``payload`` is a well-formed
-    ``check`` envelope (the schema in ``docs/SERVICE.md``)."""
-    validate_version(payload)
-    _require(payload.get("kind") == "check",
-             f"expected kind 'check', got {payload.get('kind')!r}")
-    _require(isinstance(payload.get("self_stabilizing"), bool),
-             "self_stabilizing must be a bool")
-    for field in ("error_count", "warning_count"):
-        _require(isinstance(payload.get(field), int), f"{field} must be an int")
-    report = payload.get("report")
-    _require(isinstance(report, dict), "missing report object")
-    _require(isinstance(report.get("self_stabilizing"), bool),
-             "report.self_stabilizing must be a bool")
-    diagnostics = report.get("diagnostics")
-    _require(isinstance(diagnostics, list), "report.diagnostics must be a list")
-    for entry in diagnostics:
-        validate_diagnostic(entry)
-    _require(
-        payload["error_count"]
-        == sum(1 for d in diagnostics if d["severity"] == "error"),
-        "error_count disagrees with diagnostics",
+def _kind(name: str) -> Kind:
+    return const(name, f"expected kind {name!r}, got {{value!r}}")
+
+
+#: What every payload and response carries: a version we speak.
+ENVELOPE_SPEC = Spec("payload", ProtocolError, {"version": _VERSION})
+
+
+def _counts_agree(payload: dict) -> Optional[str]:
+    errors = sum(
+        1 for diagnostic in payload["report"]["diagnostics"]
+        if diagnostic["severity"] == "error"
     )
-    _require(
-        payload["self_stabilizing"] == (payload["error_count"] == 0),
-        "self_stabilizing disagrees with error_count",
-    )
-    scope = report.get("checked_scope")
-    _require(isinstance(scope, list), "report.checked_scope must be a list")
-    for pair in scope:
-        _require(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(p, str) for p in pair),
-            "checked_scope entries must be [class, method] string pairs",
-        )
+    if payload["error_count"] != errors:
+        return "error_count disagrees with diagnostics"
+    if payload["self_stabilizing"] != (payload["error_count"] == 0):
+        return "self_stabilizing disagrees with error_count"
+    return None
 
 
-_CAMPAIGN_MODES = ("exhaustive", "stratified", "uniform")
+_SCOPE_PAIR = Kind(
+    "a [class, method] string pair",
+    lambda pair: isinstance(pair, list) and len(pair) == 2
+    and all(isinstance(part, str) for part in pair),
+)
+
+#: The ``check`` envelope (the schema in ``docs/SERVICE.md``).
+CHECK_SPEC = Spec("check payload", ProtocolError, {
+    "version": _VERSION,
+    "kind": _kind("check"),
+    "self_stabilizing": BOOL,
+    "error_count": INT,
+    "warning_count": INT,
+    "report": Obj({
+        "self_stabilizing": BOOL,
+        "diagnostics": ListOf(Obj({
+            "severity": one_of(sorted(s.value for s in Severity)),
+            "check": one_of(sorted(c.value for c in Check)),
+            "message": STR,
+            "line": INT,
+            "col": INT,
+            "context": STR,
+        })),
+        "checked_scope": ListOf(_SCOPE_PAIR),
+    }),
+}, checks=(_counts_agree,))
+
+
 _CAMPAIGN_APP_COUNTS = (
     "sites_total", "trials", "injected", "masked", "recovered",
     "diverged", "timeout", "not_injected",
 )
-_CAMPAIGN_APP_RATES = ("mask_rate", "divergence_rate", "timeout_rate")
 
 
-def validate_campaign_app(entry: dict) -> None:
-    _require(isinstance(entry, dict), "campaign app entry must be an object")
-    _require(isinstance(entry.get("app"), str), "campaign app needs a name")
-    for field in _CAMPAIGN_APP_COUNTS:
-        _require(
-            isinstance(entry.get(field), int) and entry[field] >= 0,
-            f"campaign app {field} must be a non-negative int",
-        )
-    _require(
-        entry["injected"] + entry["not_injected"] == entry["trials"],
-        "injected + not_injected must equal trials",
-    )
-    _require(
+def _verdicts_sum(entry: dict) -> Optional[str]:
+    if entry["injected"] + entry["not_injected"] != entry["trials"]:
+        return "injected + not_injected must equal trials"
+    verdicts = (
         entry["masked"] + entry["recovered"] + entry["diverged"]
-        + entry["timeout"] == entry["injected"],
-        "per-verdict counts must sum to injected",
+        + entry["timeout"]
     )
-    for field in _CAMPAIGN_APP_RATES:
-        value = entry.get(field)
-        _require(
-            isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
-            f"campaign app {field} must be a rate in [0, 1]",
-        )
-    histogram = entry.get("recovery_histogram")
-    _require(isinstance(histogram, dict), "recovery_histogram must be an object")
-    for bucket, count in histogram.items():
-        _require(
-            isinstance(bucket, str) and isinstance(count, int) and count >= 0,
-            "recovery_histogram maps bucket strings to counts",
-        )
-    for field in ("recovery_iterations_p50", "recovery_iterations_p95"):
-        value = entry.get(field)
-        _require(
-            value is None or isinstance(value, int),
-            f"{field} must be an int or null",
-        )
+    if verdicts != entry["injected"]:
+        return "per-verdict counts must sum to injected"
+    return None
 
 
-def validate_campaign_payload(payload: dict) -> None:
-    """Raise :class:`ProtocolError` unless ``payload`` is a well-formed
-    ``campaign`` envelope (the schema in ``docs/ROBUSTNESS.md``)."""
-    validate_version(payload)
-    _require(payload.get("kind") == "campaign",
-             f"expected kind 'campaign', got {payload.get('kind')!r}")
-    _require(payload.get("mode") in _CAMPAIGN_MODES,
-             f"bad campaign mode {payload.get('mode')!r}")
-    _require(isinstance(payload.get("seed"), int), "campaign needs an int seed")
-    _require(isinstance(payload.get("complete"), bool),
-             "campaign needs a complete flag")
-    shards = payload.get("shards")
-    _require(isinstance(shards, dict), "campaign needs a shards object")
-    for field in ("planned", "completed", "infra_failed"):
-        _require(
-            isinstance(shards.get(field), int) and shards[field] >= 0,
-            f"shards.{field} must be a non-negative int",
-        )
-    apps = payload.get("apps")
-    _require(isinstance(apps, list) and apps, "campaign needs app entries")
-    for entry in apps:
-        validate_campaign_app(entry)
+#: The ``campaign`` envelope (the schema in ``docs/ROBUSTNESS.md``).
+CAMPAIGN_SPEC = Spec("campaign payload", ProtocolError, {
+    "version": _VERSION,
+    "kind": _kind("campaign"),
+    "mode": one_of(("exhaustive", "stratified", "uniform")),
+    "seed": INT,
+    "complete": BOOL,
+    "shards": Obj({
+        "planned": NONNEG_INT,
+        "completed": NONNEG_INT,
+        "infra_failed": NONNEG_INT,
+    }),
+    "apps": ListOf(Obj({
+        "app": STR,
+        **{field: NONNEG_INT for field in _CAMPAIGN_APP_COUNTS},
+        "mask_rate": RATE,
+        "divergence_rate": RATE,
+        "timeout_rate": RATE,
+        "recovery_histogram": MapOf(NONNEG_INT),
+        "recovery_iterations_p50": Maybe(INT),
+        "recovery_iterations_p95": Maybe(INT),
+    }, checks=(_verdicts_sum,)), nonempty=True),
+})
+
+#: The ``bench`` envelope: a bench document
+#: (:data:`repro.obs.bench.BENCH_SPEC`) plus the protocol version.
+BENCH_ENVELOPE_SPEC = Spec(
+    "bench envelope",
+    ProtocolError,
+    {"version": _VERSION, **BENCH_SPEC.fields},
+    BENCH_SPEC.checks,
+)

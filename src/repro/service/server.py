@@ -45,6 +45,7 @@ import os
 import socketserver
 import threading
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
@@ -60,13 +61,11 @@ from repro.obs import (
     MetricsRegistry,
     RingBufferSink,
     Tracer,
-    get_tracer,
-    set_tracer,
     timed_span,
 )
-from repro.chaos.injector import get_chaos
-from repro.obs.events import EventError, get_event_log, set_event_log
-from repro.obs.exporter import maybe_exporter
+from repro.obs.events import EventError
+from repro.obs.exporter import POLL_SECONDS, maybe_exporter
+from repro.obs.context import installed, instruments
 from repro.obs.resources import ResourceMonitor
 from repro.obs.propagate import PropagationError, TraceContext
 from repro.service import protocol
@@ -88,7 +87,7 @@ class _Handler(socketserver.StreamRequestHandler):
             server._begin_request()
             try:
                 response = server.dispatch(line)
-                if get_chaos().drop_point(
+                if instruments().chaos.drop_point(
                     "server.response", response.get("request_id", "?")
                 ):
                     # Injected connection reset: the request executed but
@@ -151,22 +150,24 @@ class ReproServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
         self._shutdown_thread: Optional[threading.Thread] = None
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-        # The daemon owns process-wide tracing for its lifetime: library
-        # spans (checker passes, inference phases) report through
-        # get_tracer(), so the server's tracer is installed globally and
-        # restored by close().  One daemon per process.
+        # The daemon owns process-wide tracing and event logging for its
+        # lifetime: library spans (checker passes, inference phases) and
+        # events report through instruments(), so the server's tracer
+        # and event log are installed globally and restored by close().
+        # One daemon per process.  The last 512 events stay in memory
+        # and ship through the `events` op; the threshold is debug — the
+        # ring is the filter, not the gate.
         self.trace_buffer = RingBufferSink(capacity=128)
         self.tracer = (
             tracer if tracer is not None
             else Tracer(sinks=(self.trace_buffer,))
         )
-        self._previous_tracer = set_tracer(self.tracer)
-        # Same ownership story for the event log: the last 512 events
-        # stay in memory and ship through the `events` op.  Threshold is
-        # debug — the ring is the filter, not the gate.
         self.event_buffer = EventBuffer(capacity=512)
         self.event_log = EventLog(level="debug", sinks=(self.event_buffer,))
-        self._previous_event_log = set_event_log(self.event_log)
+        self._installed = ExitStack()
+        self._installed.enter_context(
+            installed(tracer=self.tracer, event_log=self.event_log)
+        )
         # Resource telemetry for /healthz and the repro_rss/gc/cache
         # gauges: RSS + GC pauses + cache occupancy only — tracemalloc
         # stays off in the daemon (allocation tracing taxes every
@@ -199,6 +200,11 @@ class ReproServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
         )
 
     # -- lifecycle -------------------------------------------------------
+
+    def serve_forever(self, poll_interval: float = POLL_SECONDS) -> None:
+        """Serve until :meth:`shutdown`, which returns within
+        ``poll_interval`` seconds."""
+        super().serve_forever(poll_interval)
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -244,10 +250,7 @@ class ReproServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
                 level="warn",
                 inflight=self.inflight(),
             )
-        if get_tracer() is self.tracer:
-            set_tracer(self._previous_tracer)
-        if get_event_log() is self.event_log:
-            set_event_log(self._previous_event_log)
+        self._installed.close()
         self.resources.stop()
         self.exporter.close()
         self.server_close()

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 
-from repro.chaos import ChaosConfig, ChaosInjector, installed_chaos
+from repro.chaos import ChaosConfig, ChaosInjector
 from repro.core.checker import check_program
-from repro.obs import EventBuffer, EventLog, installed_event_log
+from repro.obs import EventBuffer, EventLog
 from repro.service.cache import ResultCache
+from repro.obs.context import installed
 
 
 class TestSlowIO:
@@ -22,7 +23,7 @@ class TestSlowIO:
             sleep=slept.append,
         )
         report = check_program(wind_source)
-        with installed_chaos(injector):
+        with installed(chaos=injector):
             ResultCache(disk_dir=tmp_path).put(wind_source, report)
             assert ResultCache(disk_dir=tmp_path).get(wind_source) is not None
         # One injected stall on the write path, one on the read path.
@@ -41,8 +42,8 @@ class TestCacheCorrupt:
         injector = ChaosInjector(
             ChaosConfig(rate=1.0, faults=("cache-corrupt",))
         )
-        with installed_event_log(EventLog(level="debug", sinks=(buffer,))):
-            with installed_chaos(injector):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
+            with installed(chaos=injector):
                 cache = ResultCache(disk_dir=tmp_path)
                 cache.put(wind_source, report)
                 (entry,) = tmp_path.glob("*.json")

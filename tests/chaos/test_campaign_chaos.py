@@ -16,11 +16,11 @@ from repro.chaos import (
     ChaosConfig,
     ChaosInjector,
     NullChaosInjector,
-    installed_chaos,
     run_campaign_oracle,
 )
-from repro.obs import EventBuffer, EventLog, installed_event_log
+from repro.obs import EventBuffer, EventLog
 from repro.runtime.campaign import CampaignConfig, CampaignRunner
+from repro.obs.context import installed
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -40,7 +40,7 @@ def tiny_config(**overrides) -> CampaignConfig:
 
 
 def clean_report(config: CampaignConfig) -> dict:
-    with installed_chaos(NullChaosInjector()):
+    with installed(chaos=NullChaosInjector()):
         return CampaignRunner(config=config).run()
 
 
@@ -56,8 +56,8 @@ class TestDuplicateShard:
         injector = ChaosInjector(
             ChaosConfig(rate=1.0, faults=("duplicate-shard",))
         )
-        with installed_event_log(EventLog(level="debug", sinks=(buffer,))):
-            with installed_chaos(injector):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
+            with installed(chaos=injector):
                 report = CampaignRunner(
                     config=config, checkpoint_path=tmp_path / "ck.json"
                 ).run()
@@ -80,7 +80,7 @@ class TestTornManifest:
         injector = ChaosInjector(
             ChaosConfig(rate=0.5, faults=("torn-manifest",))
         )
-        with installed_chaos(injector):
+        with installed(chaos=injector):
             report = CampaignRunner(
                 config=config, checkpoint_path=tmp_path / "ck.json"
             ).run()
@@ -97,14 +97,14 @@ class TestTornManifest:
         injector = ChaosInjector(
             ChaosConfig(rate=1.0, faults=("torn-manifest",))
         )
-        with installed_chaos(injector):
+        with installed(chaos=injector):
             CampaignRunner(
                 config=config,
                 checkpoint_path=checkpoint,
                 stop_after_shards=2,
             ).run()
         assert injector.summary()["injected"] > 0
-        with installed_chaos(NullChaosInjector()):
+        with installed(chaos=NullChaosInjector()):
             report = CampaignRunner(
                 config=config, checkpoint_path=checkpoint
             ).run()
@@ -131,7 +131,7 @@ class TestWorkerFaults:
             hang_seconds=8.0,
             max_fires=2,
         ))
-        with installed_chaos(injector):
+        with installed(chaos=injector):
             report = CampaignRunner(
                 config=config,
                 checkpoint_path=tmp_path / "ck.json",
@@ -166,7 +166,7 @@ class TestCampaignOracle:
         self, tmp_path
     ):
         buffer = EventBuffer(capacity=512)
-        with installed_event_log(EventLog(level="debug", sinks=(buffer,))):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
             result = run_campaign_oracle(
                 tiny_config(trials=4, strata=2),
                 ChaosConfig(rate=1.0, faults=("duplicate-shard",)),

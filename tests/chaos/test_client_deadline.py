@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ChaosConfig, ChaosInjector, installed_chaos
-from repro.obs import EventBuffer, EventLog, installed_event_log
+from repro.chaos import ChaosConfig, ChaosInjector
+from repro.obs import EventBuffer, EventLog
 from repro.service.cache import ResultCache
 from repro.service.client import (
     DeadlineExceeded,
@@ -19,6 +19,7 @@ from repro.service.client import (
     protocol,
 )
 from repro.service.server import ReproServer
+from repro.obs.context import installed
 
 
 class FakeTime:
@@ -128,10 +129,10 @@ class TestDropRecovery:
                         sites=("client.request",))
         )
         try:
-            with installed_event_log(
-                EventLog(level="debug", sinks=(buffer,))
+            with installed(
+                event_log=EventLog(level="debug", sinks=(buffer,))
             ):
-                with installed_chaos(injector):
+                with installed(chaos=injector):
                     with ReproClient(server.socket_path) as client:
                         response = client.status()
             assert response["ok"]
@@ -155,7 +156,7 @@ class TestDropRecovery:
                         sites=("server.response",), max_fires=1)
         )
         try:
-            with installed_chaos(injector):
+            with installed(chaos=injector):
                 with ReproClient(server.socket_path) as client:
                     response = client.status()
             assert response["ok"]
@@ -187,7 +188,7 @@ class TestDropRecovery:
             client = ReproClient(
                 server.socket_path, op_deadline=5.0, clock=racing_clock,
             )
-            with installed_chaos(injector):
+            with installed(chaos=injector):
                 with client:
                     with pytest.raises(DeadlineExceeded):
                         client.status()

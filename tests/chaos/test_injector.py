@@ -15,12 +15,10 @@ from repro.chaos import (
     ChaosInjector,
     NullChaosInjector,
     chaos_recovery,
-    get_chaos,
-    installed_chaos,
     parse_faults,
-    set_chaos,
 )
-from repro.obs import EventBuffer, EventLog, installed_event_log
+from repro.obs import EventBuffer, EventLog
+from repro.obs.context import installed, instruments
 
 
 def injector(**overrides) -> ChaosInjector:
@@ -206,7 +204,7 @@ class TestProbes:
 class TestObservability:
     def test_fire_emits_chaos_event_and_counters(self):
         buffer = EventBuffer(capacity=16)
-        with installed_event_log(EventLog(level="debug", sinks=(buffer,))):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
             inj = injector(rate=1.0, faults=("slow-io",))
             inj.fire("slow-io", "cache.read", "k", seconds=0.05)
         [event] = [
@@ -218,7 +216,7 @@ class TestObservability:
 
     def test_chaos_recovery_emits_event(self):
         buffer = EventBuffer(capacity=16)
-        with installed_event_log(EventLog(level="debug", sinks=(buffer,))):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
             chaos_recovery("duplicate-ignored", "campaign.result", shard_id="x")
         [event] = buffer.records
         assert event["name"] == "chaos.recovery"
@@ -252,19 +250,20 @@ class TestWorkerPayload:
 
 class TestGlobalInstallation:
     def test_default_is_null(self):
-        assert isinstance(get_chaos(), NullChaosInjector)
+        assert isinstance(instruments().chaos, NullChaosInjector)
 
     def test_installed_chaos_restores_previous(self):
-        before = get_chaos()
+        before = instruments().chaos
         inj = injector(rate=0.0)
-        with installed_chaos(inj):
-            assert get_chaos() is inj
-        assert get_chaos() is before
+        with installed(chaos=inj):
+            assert instruments().chaos is inj
+        assert instruments().chaos is before
 
     def test_set_chaos_none_restores_the_null_default(self):
-        set_chaos(injector(rate=0.0))
-        set_chaos(None)
-        assert isinstance(get_chaos(), NullChaosInjector)
+        with installed(chaos=injector(rate=0.0)):
+            with installed(chaos=None):
+                assert isinstance(instruments().chaos, NullChaosInjector)
+        assert isinstance(instruments().chaos, NullChaosInjector)
 
 
 class TestNullInjector:
@@ -289,11 +288,11 @@ class TestNullInjector:
         lookups, and the daemon request path — with chaos off they pay
         one global read and a no-op call, same bound as the null tracer
         and null event log."""
-        null = get_chaos()
+        null = instruments().chaos
         assert isinstance(null, NullChaosInjector)
         start = time.perf_counter()
         for k in range(100_000):
-            chaos = get_chaos()
+            chaos = instruments().chaos
             if chaos.drop_point("client.request", k):
                 raise AssertionError("null injector fired")
         elapsed = time.perf_counter() - start

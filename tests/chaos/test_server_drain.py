@@ -99,7 +99,7 @@ class TestGracefulShutdown:
         held.thread.join(timeout=5)
         (response,) = responses
         assert response["ok"] and response["op"] == "status"
-        protocol.validate_version(response)  # a whole, valid line
+        protocol.ENVELOPE_SPEC.validate(response)  # a whole, valid line
         assert not Path(socket_path).exists()
 
     def test_drain_timeout_is_reported_and_socket_reclaimed(self, tmp_path):

@@ -13,30 +13,28 @@ from repro.obs import (
     JsonlTraceWriter,
     Tracer,
     aggregate_trace,
-    installed_tracer,
-    read_trace,
     trace_root_seconds,
 )
 from repro.obs.bench import (
     BENCH_SCHEMA,
+    BENCH_SPEC,
     BenchError,
     Scenario,
     attribute_benchmarks,
     bench_payload,
     compare_benchmarks,
-    dumps_bench,
     format_attribution,
     format_comparison,
     get_scenario,
-    read_bench,
     run_scenario,
     run_scenarios,
     scenario_names,
     scenario_result_from_samples,
-    validate_bench,
-    write_bench,
 )
 from repro.service import protocol
+from repro.obs.context import installed, instruments
+from repro.obs.resources import RESOURCES_SPEC
+from repro.obs.sinks import SPAN_SPEC
 
 GOLDEN = Path(__file__).parent / "golden" / "bench.golden.json"
 
@@ -107,19 +105,19 @@ class TestRunner:
             clock=_counting_clock(0.5),
         )
         payload = _payload(results)
-        assert dumps_bench(payload) == GOLDEN.read_text(encoding="utf-8")
+        assert BENCH_SPEC.dumps(payload) == GOLDEN.read_text(encoding="utf-8")
 
     def test_scenario_root_span_composes_with_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         with JsonlTraceWriter(trace) as writer:
-            with installed_tracer(Tracer(sinks=(writer,))):
+            with installed(tracer=Tracer(sinks=(writer,))):
                 run_scenario(
                     _toy_scenario(),
                     warmup=1,
                     repetitions=2,
                     clock=_counting_clock(0.5),
                 )
-        events = read_trace(trace)
+        events = SPAN_SPEC.read_lines(trace)
         roots = [e for e in events if e["parent_id"] is None]
         assert [r["name"] for r in roots] == ["bench.check/toy"]
         assert roots[0]["counters"] == {"repetitions": 2}
@@ -143,39 +141,39 @@ class TestRunner:
 class TestSchema:
     def test_round_trip(self, tmp_path):
         payload = _payload([_result("check/toy", [0.5, 0.5, 0.5])])
-        path = write_bench(payload, tmp_path / "BENCH_test.json")
-        assert read_bench(path) == payload
+        path = BENCH_SPEC.write(payload, tmp_path / "BENCH_test.json")
+        assert BENCH_SPEC.read(path) == payload
 
     def test_default_filename_uses_utc_stamp(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         payload = _payload([_result("check/toy", [0.5])])
-        path = write_bench(payload)
+        path = BENCH_SPEC.write(payload)
         assert path.name == "BENCH_20260101T000000Z.json"
 
     def test_schema_violations_rejected(self):
         good = _payload([_result("check/toy", [0.5, 0.5])])
-        assert validate_bench(good) is good
+        assert BENCH_SPEC.validate(good) is good
 
         wrong_schema = dict(good, schema=BENCH_SCHEMA + 1)
         with pytest.raises(BenchError, match="unsupported bench schema"):
-            validate_bench(wrong_schema)
+            BENCH_SPEC.validate(wrong_schema)
         with pytest.raises(BenchError, match="kind"):
-            validate_bench(dict(good, kind="trace"))
+            BENCH_SPEC.validate(dict(good, kind="trace"))
         with pytest.raises(BenchError, match="non-empty list"):
-            validate_bench(dict(good, scenarios=[]))
+            BENCH_SPEC.validate(dict(good, scenarios=[]))
         with pytest.raises(BenchError, match="fingerprint missing"):
-            validate_bench(dict(good, fingerprint={"python": "3"}))
+            BENCH_SPEC.validate(dict(good, fingerprint={"python": "3"}))
 
         bad_reps = _payload([_result("check/toy", [0.5, 0.5])])
         bad_reps["scenarios"][0]["repetitions"] = 7
         with pytest.raises(BenchError, match="repetitions must equal"):
-            validate_bench(bad_reps)
+            BENCH_SPEC.validate(bad_reps)
 
         dupe = _payload(
             [_result("check/toy", [0.5]), _result("check/toy", [0.5])]
         )
         with pytest.raises(BenchError, match="duplicate scenario"):
-            validate_bench(dupe)
+            BENCH_SPEC.validate(dupe)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(BenchError, match="unknown scenario kind"):
@@ -185,14 +183,14 @@ class TestSchema:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(BenchError, match="invalid JSON"):
-            read_bench(path)
+            BENCH_SPEC.read(path)
 
     def test_protocol_envelope(self):
         payload = _payload([_result("check/toy", [0.5])])
         envelope = protocol.bench_payload(payload)
-        protocol.validate_bench_payload(envelope)
+        protocol.BENCH_ENVELOPE_SPEC.validate(envelope)
         with pytest.raises(protocol.ProtocolError):
-            protocol.validate_bench_payload(
+            protocol.BENCH_ENVELOPE_SPEC.validate(
                 dict(envelope, scenarios=[])
             )
 
@@ -270,7 +268,7 @@ class TestBenchCli:
             "--repetitions", "2", "--warmup", "0",
             "--output", str(out),
         ]) == 0
-        payload = read_bench(out)
+        payload = BENCH_SPEC.read(out)
         assert [s["name"] for s in payload["scenarios"]] == [
             "check/wind_sensor"
         ]
@@ -283,10 +281,10 @@ class TestBenchCli:
             "--output", str(tmp_path / "bench.json"),
         ]) == 0
         envelope = json.loads(capsys.readouterr().out)
-        protocol.validate_bench_payload(envelope)
+        protocol.BENCH_ENVELOPE_SPEC.validate(envelope)
 
     def test_compare_identical_files_exits_0(self, tmp_path, capsys):
-        path = write_bench(
+        path = BENCH_SPEC.write(
             _payload([_result("check/toy", [1.0, 1.0])]),
             tmp_path / "old.json",
         )
@@ -296,11 +294,11 @@ class TestBenchCli:
         assert "within-noise" in capsys.readouterr().out
 
     def test_compare_2x_slowdown_exits_1(self, tmp_path, capsys):
-        old = write_bench(
+        old = BENCH_SPEC.write(
             _payload([_result("check/toy", [1.0, 1.0])]),
             tmp_path / "old.json",
         )
-        new = write_bench(
+        new = BENCH_SPEC.write(
             _payload([_result("check/toy", [2.0, 2.0])]),
             tmp_path / "new.json",
         )
@@ -319,7 +317,7 @@ class TestBenchCli:
             "--repetitions", "2", "--warmup", "0", "--output", str(out),
         ]) == 0
         capsys.readouterr()
-        baseline = dict(read_bench(out))
+        baseline = dict(BENCH_SPEC.read(out))
         for entry in baseline["scenarios"]:
             entry["median_seconds"] *= 100
             entry["min_seconds"] *= 100
@@ -327,7 +325,7 @@ class TestBenchCli:
             entry["samples_seconds"] = [
                 s * 100 for s in entry["samples_seconds"]
             ]
-        baseline_path = write_bench(baseline, tmp_path / "baseline.json")
+        baseline_path = BENCH_SPEC.write(baseline, tmp_path / "baseline.json")
         assert main([
             "bench", "--scenario", "check/wind_sensor",
             "--repetitions", "2", "--warmup", "0",
@@ -361,7 +359,7 @@ class TestBenchCli:
         assert "bench.check/wind_sensor" in table
         # the acceptance criterion: per-name exclusive times sum to the
         # trace's root wall time
-        events = read_trace(trace)
+        events = SPAN_SPEC.read_lines(trace)
         rows = aggregate_trace(events)
         assert sum(r["self_seconds"] for r in rows) == pytest.approx(
             trace_root_seconds(events)
@@ -393,11 +391,10 @@ def _spans(rows: dict[str, float], count: int = 3) -> list[dict]:
 
 class TestSpanTables:
     def _spanning_scenario(self) -> Scenario:
-        from repro.obs import get_tracer
 
         def build():
             def op():
-                tracer = get_tracer()
+                tracer = instruments().tracer
                 with tracer.span("parse"):
                     pass
                 with tracer.span("flow_check"):
@@ -422,14 +419,14 @@ class TestSpanTables:
         by_name = {row["name"]: row for row in result["spans"]}
         # warmup runs are not collected: 3 timed repetitions only
         assert by_name["parse"]["count"] == 3
-        validate_bench(_payload([result]))
+        BENCH_SPEC.validate(_payload([result]))
 
     def test_span_table_composes_with_installed_tracer(self, tmp_path):
         """With a real tracer installed the sink taps it without
         stealing its other sinks' events."""
         trace = tmp_path / "trace.jsonl"
         with JsonlTraceWriter(trace) as writer:
-            with installed_tracer(Tracer(sinks=(writer,))):
+            with installed(tracer=Tracer(sinks=(writer,))):
                 result = run_scenario(
                     self._spanning_scenario(),
                     warmup=1,
@@ -441,7 +438,7 @@ class TestSpanTables:
             "parse", "flow_check",
         }
         # the trace file still has the full structure, warmups included
-        names = [e["name"] for e in read_trace(trace)]
+        names = [e["name"] for e in SPAN_SPEC.read_lines(trace)]
         assert "bench.check/spanning" in names
         assert "warmup" in names
 
@@ -449,22 +446,22 @@ class TestSpanTables:
         base = _result("check/toy", [1.0], warmup=0)
         bad_rows = _payload([dict(base, spans="nope")])
         with pytest.raises(BenchError, match="spans must be a list"):
-            validate_bench(bad_rows)
+            BENCH_SPEC.validate(bad_rows)
         bad_name = _payload([dict(base, spans=[{"count": 1}])])
         with pytest.raises(BenchError, match="needs a name"):
-            validate_bench(bad_name)
+            BENCH_SPEC.validate(bad_name)
         bad_count = _payload([dict(base, spans=[
             {"name": "parse", "count": 1.5, "self_seconds": 0.1,
              "wall_seconds": 0.1},
         ])])
         with pytest.raises(BenchError, match="count must be an int"):
-            validate_bench(bad_count)
+            BENCH_SPEC.validate(bad_count)
         bad_seconds = _payload([dict(base, spans=[
             {"name": "parse", "count": 1, "self_seconds": "x",
              "wall_seconds": 0.1},
         ])])
         with pytest.raises(BenchError, match="self_seconds must be a number"):
-            validate_bench(bad_seconds)
+            BENCH_SPEC.validate(bad_seconds)
 
 
 class TestAttribution:
@@ -592,14 +589,14 @@ class TestCompareSymmetricDifference:
     def test_compare_cli_error_names_missing_scenarios(
         self, tmp_path, capsys
     ):
-        old = write_bench(
+        old = BENCH_SPEC.write(
             _payload([
                 _result("check/toy", [1.0]),
                 _result("check/gone", [1.0]),
             ]),
             tmp_path / "old.json",
         )
-        new = write_bench(
+        new = BENCH_SPEC.write(
             _payload([_result("check/toy", [1.0])]),
             tmp_path / "new.json",
         )
@@ -616,14 +613,14 @@ class TestCompareSymmetricDifference:
     def test_compare_json_envelope_carries_symmetric_difference(
         self, tmp_path, capsys
     ):
-        old = write_bench(
+        old = BENCH_SPEC.write(
             _payload([
                 _result("check/toy", [1.0]),
                 _result("check/gone", [1.0]),
             ]),
             tmp_path / "old.json",
         )
-        new = write_bench(
+        new = BENCH_SPEC.write(
             _payload([
                 _result("check/toy", [1.0]),
                 _result("check/new", [1.0]),
@@ -662,8 +659,8 @@ class TestAttributionCli:
             ),
         ])
         return (
-            write_bench(old, tmp_path / "old.json"),
-            write_bench(new, tmp_path / "new.json"),
+            BENCH_SPEC.write(old, tmp_path / "old.json"),
+            BENCH_SPEC.write(new, tmp_path / "new.json"),
         )
 
     def test_attribute_ranks_injected_regression_first(
@@ -695,7 +692,7 @@ class TestAttributionCli:
             "--repetitions", "2", "--warmup", "0",
             "--output", str(out), "--spans",
         ]) == 0
-        payload = read_bench(out)
+        payload = BENCH_SPEC.read(out)
         (scenario,) = payload["scenarios"]
         spans = scenario["spans"]
         assert spans, "expected a span table from --spans"
@@ -811,15 +808,15 @@ class TestMemoryTelemetry:
             monitor=_fake_monitor(_SteppingAlloc(step=512)),
         )
         payload = _payload(results)
-        validate_bench(payload)
-        assert dumps_bench(payload) == MEMORY_GOLDEN.read_text(
+        BENCH_SPEC.validate(payload)
+        assert BENCH_SPEC.dumps(payload) == MEMORY_GOLDEN.read_text(
             encoding="utf-8"
         )
 
     def test_memoryless_payload_still_validates(self):
         payload = _payload([_result("check/toy", [0.5, 0.5])])
         assert "memory" not in payload["scenarios"][0]
-        assert validate_bench(payload) is payload
+        assert BENCH_SPEC.validate(payload) is payload
 
     def test_memory_section_violations_rejected(self):
         def with_memory(**overrides):
@@ -828,19 +825,19 @@ class TestMemoryTelemetry:
             return _payload([result])
 
         with pytest.raises(BenchError, match="alloc_per_rep_bytes"):
-            validate_bench(with_memory(alloc_per_rep_bytes="lots"))
+            BENCH_SPEC.validate(with_memory(alloc_per_rep_bytes="lots"))
         with pytest.raises(BenchError, match="alloc_peak_bytes"):
-            validate_bench(with_memory(alloc_peak_bytes=-1))
+            BENCH_SPEC.validate(with_memory(alloc_peak_bytes=-1))
         with pytest.raises(BenchError, match="alloc_median_bytes"):
-            validate_bench(with_memory(alloc_median_bytes=None))
+            BENCH_SPEC.validate(with_memory(alloc_median_bytes=None))
         with pytest.raises(BenchError, match="gc_collections"):
-            validate_bench(with_memory(gc_collections=-2))
+            BENCH_SPEC.validate(with_memory(gc_collections=-2))
         with pytest.raises(BenchError, match="gc_pause_seconds_total"):
-            validate_bench(with_memory(gc_pause_seconds_total=-0.5))
+            BENCH_SPEC.validate(with_memory(gc_pause_seconds_total=-0.5))
         with pytest.raises(BenchError, match="memory"):
             result = _mem_result("check/toy", [0.5], [100])
             result["memory"] = "big"
-            validate_bench(_payload([result]))
+            BENCH_SPEC.validate(_payload([result]))
 
     def test_unknown_future_schema_versions_rejected(self):
         """A payload from a *newer* repro must fail loudly, not
@@ -848,22 +845,22 @@ class TestMemoryTelemetry:
         good = _payload([_mem_result("check/toy", [0.5], [100])])
         for version in (BENCH_SCHEMA + 1, BENCH_SCHEMA + 7, "1", None):
             with pytest.raises(BenchError, match="unsupported bench schema"):
-                validate_bench(dict(good, schema=version))
+                BENCH_SPEC.validate(dict(good, schema=version))
 
     def test_memory_round_trips_through_protocol_envelope(self):
         payload = _payload(
             [_mem_result("check/toy", [0.5, 0.5], [100, 200])]
         )
         envelope = protocol.bench_payload(payload)
-        protocol.validate_bench_payload(envelope)
+        protocol.BENCH_ENVELOPE_SPEC.validate(envelope)
         decoded = json.loads(protocol.dumps(envelope))
         assert decoded["scenarios"][0]["memory"] == \
             payload["scenarios"][0]["memory"]
 
     def test_memory_round_trips_through_file(self, tmp_path):
         payload = _payload([_mem_result("check/toy", [0.5], [100])])
-        path = write_bench(payload, tmp_path / "BENCH_mem.json")
-        assert read_bench(path) == payload
+        path = BENCH_SPEC.write(payload, tmp_path / "BENCH_mem.json")
+        assert BENCH_SPEC.read(path) == payload
 
 
 class TestMemoryComparator:
@@ -963,7 +960,6 @@ class TestMemoryCli:
     def test_mem_flag_collects_memory_and_writes_resources(
         self, tmp_path, capsys
     ):
-        from repro.obs.resources import read_resources
 
         out = tmp_path / "bench.json"
         mem = tmp_path / "mem.json"
@@ -972,12 +968,12 @@ class TestMemoryCli:
             "--repetitions", "2", "--warmup", "0",
             "--output", str(out), "--mem", "--mem-json", str(mem),
         ]) == 0
-        (scenario,) = read_bench(out)["scenarios"]
+        (scenario,) = BENCH_SPEC.read(out)["scenarios"]
         memory = scenario["memory"]
         assert len(memory["alloc_per_rep_bytes"]) == 2
         assert memory["alloc_peak_bytes"] > 0
         assert memory["peak_rss_bytes"] > 0
-        resources = read_resources(mem)
+        resources = RESOURCES_SPEC.read(mem)
         names = [row["name"] for row in resources["sections"]]
         assert "checker.check" in names
         assert "resources written to" in capsys.readouterr().err
@@ -988,5 +984,5 @@ class TestMemoryCli:
             "bench", "--scenario", "check/wind_sensor",
             "--repetitions", "1", "--warmup", "0", "--output", str(out),
         ]) == 0
-        (scenario,) = read_bench(out)["scenarios"]
+        (scenario,) = BENCH_SPEC.read(out)["scenarios"]
         assert "memory" not in scenario

@@ -23,17 +23,12 @@ from repro.obs import (
     Tracer,
     filter_events,
     format_event,
-    get_event_log,
-    installed_tracer,
-    read_events,
-    set_event_log,
-    validate_events,
 )
 from repro.obs.events import (
-    installed_event_log,
+    EVENT_SPEC,
     level_rank,
-    validate_event_record,
 )
+from repro.obs.context import installed, instruments
 
 GOLDEN = Path(__file__).parent / "golden" / "events.golden.jsonl"
 
@@ -58,7 +53,7 @@ def _write_reference_events(path: Path) -> None:
             clock=_counting_clock(0.25),
             sample={"runtime.iteration": 2},
         )
-        with installed_tracer(tracer):
+        with installed(tracer=tracer):
             log.emit(
                 "campaign.plan", level="info",
                 apps=["wind_sensor"], planned=2,
@@ -150,7 +145,7 @@ class TestCorrelation:
     def test_event_carries_active_span_ids(self):
         tracer = Tracer()
         log = EventLog()
-        with installed_tracer(tracer):
+        with installed(tracer=tracer):
             outside = log.emit("outside")
             with tracer.span("work") as span:
                 inside = log.emit("inside")
@@ -163,7 +158,7 @@ class TestCorrelation:
         tracer = Tracer()
         log = EventLog()
         records = []
-        with installed_tracer(tracer):
+        with installed(tracer=tracer):
             with tracer.span("a") as span_a:
                 records.append(log.emit("one"))
             with tracer.span("b"):
@@ -174,33 +169,34 @@ class TestCorrelation:
 
 class TestInstallation:
     def test_default_is_null_log(self):
-        log = get_event_log()
+        log = instruments().event_log
         assert isinstance(log, NullEventLog)
         assert not log.enabled
         assert log.emit("anything", level="error") is None
 
     def test_set_and_restore(self):
         log = EventLog()
-        previous = set_event_log(log)
-        try:
-            assert get_event_log() is log
-        finally:
-            set_event_log(previous)
-        assert isinstance(get_event_log(), NullEventLog)
+        with installed(event_log=log):
+            assert instruments().event_log is log
+            with installed(event_log=None):
+                assert isinstance(instruments().event_log, NullEventLog)
+            assert instruments().event_log is log
+        assert isinstance(instruments().event_log, NullEventLog)
 
     def test_installed_event_log_scopes(self):
-        with installed_event_log(EventLog()) as log:
-            assert get_event_log() is log
-        assert isinstance(get_event_log(), NullEventLog)
+        with installed(event_log=EventLog()) as context:
+            assert instruments().event_log is context.event_log
+            assert context.event_log.enabled
+        assert isinstance(instruments().event_log, NullEventLog)
 
     def test_disabled_emit_overhead_is_negligible(self):
         """Acceptance: instrumented hot paths (the runtime event loop)
         pay ~nothing when events are off — same bound as the no-op
         tracer's."""
-        log = get_event_log()
-        assert isinstance(log, NullEventLog)
+        assert isinstance(instruments().event_log, NullEventLog)
         start = time.perf_counter()
         for _ in range(100_000):
+            log = instruments().event_log
             if log.enabled and log.enabled_for("debug"):
                 raise AssertionError("null log claims to be enabled")
             log.emit("hot", iteration=0)
@@ -257,10 +253,10 @@ class TestJsonlRoundTrip:
     def test_write_read_validate(self, tmp_path):
         path = tmp_path / "events.jsonl"
         _write_reference_events(path)
-        records = validate_events(path)
+        records = EVENT_SPEC.read_lines(path, required=True)
         assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
         for record in records:
-            validate_event_record(record)
+            EVENT_SPEC.validate(record)
             assert record["schema"] == EVENTS_SCHEMA
 
     def test_golden_events_are_byte_stable(self, tmp_path):
@@ -274,7 +270,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "events.jsonl"
         _write_reference_events(path)
         iterations = [
-            r["attrs"]["iteration"] for r in read_events(path)
+            r["attrs"]["iteration"] for r in EVENT_SPEC.read_lines(path)
             if r["name"] == "runtime.iteration"
         ]
         assert iterations == [0, 2]
@@ -283,22 +279,22 @@ class TestJsonlRoundTrip:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(EventError, match="no event records"):
-            validate_events(path)
+            EVENT_SPEC.read_lines(path, required=True)
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"schema": EVENTS_SCHEMA}) + "\n")
         with pytest.raises(EventError, match="missing keys"):
-            read_events(path)
+            EVENT_SPEC.read_lines(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         _write_reference_events(path)
-        records = read_events(path)
+        records = EVENT_SPEC.read_lines(path)
         records[0]["schema"] = 999
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         with pytest.raises(EventError, match="unsupported events schema"):
-            read_events(path)
+            EVENT_SPEC.read_lines(path)
 
     def test_concurrent_emits_never_interleave_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -314,7 +310,7 @@ class TestJsonlRoundTrip:
                 thread.start()
             for thread in threads:
                 thread.join()
-        records = read_events(path)  # raises if any line is torn
+        records = EVENT_SPEC.read_lines(path)  # raises if any line is torn
         assert len(records) == 200
         assert sorted(r["seq"] for r in records) == list(range(1, 201))
 

@@ -4,6 +4,7 @@ with the registry's Prometheus exposition, and the null off state."""
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -165,6 +166,15 @@ class TestLifecycle:
         exporter.close()
         with pytest.raises(ExporterError):
             exporter.port
+
+    def test_close_does_not_wait_out_the_default_poll(self):
+        """socketserver's default ``serve_forever`` poll is 0.5 s, and
+        ``shutdown()`` waits for the loop to notice: every close used to
+        cost ~0.45 s.  The exporter polls faster."""
+        exporter = MetricsExporter(registry=MetricsRegistry()).start()
+        start = time.perf_counter()
+        exporter.close()
+        assert time.perf_counter() - start < 0.25
 
     def test_bind_failure_raises_exporter_error(self):
         with MetricsExporter(registry=MetricsRegistry()) as holder:

@@ -10,12 +10,12 @@ import pytest
 
 from repro.cli import main
 from repro.obs.bench import (
+    BENCH_SPEC,
     BenchError,
     bench_payload,
     scenario_result_from_samples,
-    write_bench,
 )
-from repro.obs.events import EventBuffer, EventLog, installed_event_log
+from repro.obs.events import EventBuffer, EventLog
 from repro.obs.history import (
     HistoryWarning,
     bench_trend,
@@ -27,6 +27,7 @@ from repro.obs.history import (
     trend_series,
 )
 from repro.service import protocol
+from repro.obs.context import installed
 
 PINNED_FINGERPRINT = {
     "python": "3.11.0",
@@ -83,7 +84,7 @@ def _seed_history(directory: Path) -> None:
          {"check/toy": [2.0, 2.0, 2.0], "check/other": [0.5, 0.5, 0.5]}),
     ]
     for filename, created, scenarios in runs:
-        write_bench(_payload(created, scenarios), directory / filename)
+        BENCH_SPEC.write(_payload(created, scenarios), directory / filename)
 
 
 class TestEnvKey:
@@ -99,10 +100,14 @@ class TestEnvKey:
 
 class TestLoadHistory:
     def test_orders_by_created_then_filename(self, tmp_path):
-        write_bench(_payload("2026-01-02T00:00:00Z", {"check/toy": [1.0]}),
-                    tmp_path / "BENCH_older_name.json")
-        write_bench(_payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
-                    tmp_path / "BENCH_z.json")
+        BENCH_SPEC.write(
+            _payload("2026-01-02T00:00:00Z", {"check/toy": [1.0]}),
+            tmp_path / "BENCH_older_name.json",
+        )
+        BENCH_SPEC.write(
+            _payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
+            tmp_path / "BENCH_z.json",
+        )
         payloads, skipped = load_history(tmp_path)
         assert [name for name, _ in payloads] == [
             "BENCH_z.json", "BENCH_older_name.json",
@@ -116,14 +121,16 @@ class TestLoadHistory:
     def test_torn_and_wrong_schema_files_are_skipped(self, tmp_path):
         """Mirrors the JSONL readers' crash tolerance: one bad file
         warns and is recorded, the trend survives."""
-        write_bench(_payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
-                    tmp_path / "BENCH_good.json")
+        BENCH_SPEC.write(
+            _payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
+            tmp_path / "BENCH_good.json",
+        )
         (tmp_path / "BENCH_torn.json").write_text('{"schema": 1, "kin')
         (tmp_path / "BENCH_alien.json").write_text(
             json.dumps({"schema": 999, "kind": "bench"})
         )
         buffer = EventBuffer(capacity=16)
-        with installed_event_log(EventLog(sinks=(buffer,))):
+        with installed(event_log=EventLog(sinks=(buffer,))):
             with pytest.warns(HistoryWarning):
                 payloads, skipped = load_history(tmp_path)
         assert [name for name, _ in payloads] == ["BENCH_good.json"]
@@ -139,9 +146,11 @@ class TestLoadHistory:
 
 class TestTrendSeries:
     def test_one_series_per_scenario_environment(self, tmp_path):
-        write_bench(_payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
-                    tmp_path / "BENCH_a.json")
-        write_bench(
+        BENCH_SPEC.write(
+            _payload("2026-01-01T00:00:00Z", {"check/toy": [1.0]}),
+            tmp_path / "BENCH_a.json",
+        )
+        BENCH_SPEC.write(
             _payload(
                 "2026-01-02T00:00:00Z", {"check/toy": [1.0]},
                 fingerprint=dict(PINNED_FINGERPRINT, python="3.12.0"),
@@ -344,7 +353,7 @@ def _seed_memory_history(directory: Path) -> None:
         ("BENCH_d.json", "2026-01-04T00:00:00Z", (flat, [2000, 2000, 2000])),
     ]
     for filename, created, spec in runs:
-        write_bench(
+        BENCH_SPEC.write(
             _mem_payload(created, {"check/toy": spec}),
             directory / filename,
         )

@@ -17,21 +17,16 @@ from repro.obs.profile import (
     MAX_STACK_DEPTH,
     NullProfiler,
     PROFILE_SCHEMA,
+    PROFILE_SPEC,
     ProfileError,
     SamplingProfiler,
     _stack_of,
     aggregate_profile,
-    dumps_profile,
     format_profile_table,
-    get_profiler,
-    installed_profiler,
     profile_payload,
-    read_profile,
     section_counts,
-    set_profiler,
-    validate_profile,
-    write_profile,
 )
+from repro.obs.context import installed, instruments
 
 GOLDEN = Path(__file__).parent / "golden" / "profile.golden.json"
 
@@ -167,7 +162,7 @@ class TestSampler:
         # counting clock: start reads 0.0, stop reads 0.5
         assert payload["duration_seconds"] == 0.5
         assert payload["sample_count"] == 0
-        validate_profile(payload)
+        PROFILE_SPEC.validate(payload)
 
     def test_live_thread_sampling_smoke(self):
         """A real sampler thread over a busy loop records samples and
@@ -211,35 +206,36 @@ class TestSampler:
 
 class TestNullProfiler:
     def test_default_profiler_is_null(self):
-        assert isinstance(get_profiler(), NullProfiler)
-        assert not get_profiler().enabled
+        assert isinstance(instruments().profiler, NullProfiler)
+        assert not instruments().profiler.enabled
 
     def test_installed_profiler_restores_previous(self):
         profiler = SamplingProfiler(
             interval_seconds=0.005, frames=lambda: {}
         )
-        before = get_profiler()
-        with installed_profiler(profiler):
-            assert get_profiler() is profiler
-        assert get_profiler() is before
+        before = instruments().profiler
+        with installed(profiler=profiler):
+            assert instruments().profiler is profiler
+        assert instruments().profiler is before
 
     def test_set_profiler_none_restores_null(self):
-        previous = set_profiler(
-            SamplingProfiler(interval_seconds=0.005, frames=lambda: {})
-        )
-        set_profiler(None)
-        assert isinstance(get_profiler(), NullProfiler)
+        previous = instruments().profiler
+        with installed(
+            profiler=SamplingProfiler(interval_seconds=0.005, frames=lambda: {})
+        ):
+            with installed(profiler=None):
+                assert isinstance(instruments().profiler, NullProfiler)
         assert isinstance(previous, NullProfiler)
+        assert instruments().profiler is previous
 
     def test_noop_overhead_is_negligible(self):
         """The pin the CI profile-smoke step relies on: 100k disabled
         sections must stay under the same bound as the null tracer —
         the anchors sit inside the interpreter's event loop."""
-        profiler = get_profiler()
-        assert isinstance(profiler, NullProfiler)
+        assert isinstance(instruments().profiler, NullProfiler)
         start = time.perf_counter()
         for _ in range(100_000):
-            with profiler.section("interpreter.step"):
+            with instruments().profiler.section("interpreter.step"):
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"no-op section overhead too high: {elapsed:.3f}s"
@@ -249,18 +245,18 @@ class TestSchema:
     def test_golden_profile_json(self):
         """The full payload, byte for byte — schema drift must be a
         conscious change to the golden file and PROFILE_SCHEMA."""
-        assert dumps_profile(_golden_payload()) == GOLDEN.read_text(
+        assert PROFILE_SPEC.dumps(_golden_payload()) == GOLDEN.read_text(
             encoding="utf-8"
         )
 
     def test_round_trip(self, tmp_path):
         payload = _golden_payload()
-        path = write_profile(payload, tmp_path / "PROFILE_test.json")
-        assert read_profile(path) == payload
+        path = PROFILE_SPEC.write(payload, tmp_path / "PROFILE_test.json")
+        assert PROFILE_SPEC.read(path) == payload
 
     def test_default_filename_uses_utc_stamp(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_profile(_golden_payload())
+        path = PROFILE_SPEC.write(_golden_payload())
         assert path.name == "PROFILE_20260101T000000Z.json"
 
     def test_empty_sample_list_is_valid(self):
@@ -268,33 +264,33 @@ class TestSchema:
             [], interval_seconds=DEFAULT_INTERVAL, duration_seconds=0.0,
             fingerprint=dict(PINNED_FINGERPRINT), created_utc=CREATED,
         )
-        assert validate_profile(payload) is payload
+        assert PROFILE_SPEC.validate(payload) is payload
 
     def test_schema_violations_rejected(self):
         good = _golden_payload()
-        assert validate_profile(good) is good
+        assert PROFILE_SPEC.validate(good) is good
         with pytest.raises(ProfileError, match="unsupported profile schema"):
-            validate_profile(dict(good, schema=PROFILE_SCHEMA + 1))
+            PROFILE_SPEC.validate(dict(good, schema=PROFILE_SCHEMA + 1))
         with pytest.raises(ProfileError, match="kind"):
-            validate_profile(dict(good, kind="bench"))
+            PROFILE_SPEC.validate(dict(good, kind="bench"))
         with pytest.raises(ProfileError, match="fingerprint missing"):
-            validate_profile(dict(good, fingerprint={"python": "3"}))
+            PROFILE_SPEC.validate(dict(good, fingerprint={"python": "3"}))
         with pytest.raises(ProfileError, match="sample_count"):
-            validate_profile(dict(good, sample_count=99))
+            PROFILE_SPEC.validate(dict(good, sample_count=99))
         bad_stack = _golden_payload()
         bad_stack["samples"][0]["stack"] = [""]
         with pytest.raises(ProfileError, match="stack"):
-            validate_profile(bad_stack)
+            PROFILE_SPEC.validate(bad_stack)
         bad_count = _golden_payload()
         bad_count["samples"][0]["count"] = 0
         with pytest.raises(ProfileError, match="positive int"):
-            validate_profile(bad_count)
+            PROFILE_SPEC.validate(bad_count)
 
     def test_read_profile_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ProfileError, match="invalid JSON"):
-            read_profile(path)
+            PROFILE_SPEC.read(path)
 
 
 class TestAggregation:
@@ -336,7 +332,7 @@ class TestProfileCli:
             "--profile-json", str(out),
         ]) == 0
         assert "profile written to" in capsys.readouterr().err
-        payload = read_profile(out)
+        payload = PROFILE_SPEC.read(out)
         assert payload["schema"] == PROFILE_SCHEMA
 
     def test_bench_profile_json_composes(self, tmp_path, capsys):
@@ -348,7 +344,7 @@ class TestProfileCli:
             "--profile-json", str(out),
             "--profile-interval", "0.001",
         ]) == 0
-        read_profile(out)  # must validate, sampled or not
+        PROFILE_SPEC.read(out)  # must validate, sampled or not
 
     @pytest.mark.parametrize("interval", ["0", "-0.5"])
     def test_non_positive_interval_is_a_clean_cli_error(
@@ -371,4 +367,4 @@ class TestProfileCli:
             "check", "src/repro/apps/programs/wind_sensor.sj",
             "--profile-json", str(tmp_path / "p.json"),
         ])
-        assert isinstance(get_profiler(), NullProfiler)
+        assert isinstance(instruments().profiler, NullProfiler)

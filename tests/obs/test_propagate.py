@@ -22,19 +22,17 @@ from repro.obs import (
     build_forest,
     current_context,
     format_forest,
-    get_tracer,
-    installed_tracer,
     merge_traces,
     orphan_events,
-    read_trace,
     shard_trace_payload,
     span_event,
     trace_root_seconds,
-    validate_trace,
     worker_traced,
 )
 from repro.obs.exporter import NullExporter
 from repro.obs.propagate import reset_worker_tracers
+from repro.obs.context import installed, instruments
+from repro.obs.sinks import SPAN_SPEC
 
 GOLDEN = Path(__file__).parent / "golden" / "merged_trace.golden.jsonl"
 
@@ -70,11 +68,12 @@ class TestTraceContext:
 
 class TestCurrentContext:
     def test_none_without_a_span(self):
-        assert isinstance(get_tracer(), NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
         assert current_context() is None
 
     def test_snapshots_the_active_span(self):
-        with installed_tracer(Tracer()) as tracer:
+        tracer = Tracer()
+        with installed(tracer=tracer):
             assert current_context() is None
             with tracer.span("outer") as outer:
                 context = current_context()
@@ -144,11 +143,12 @@ class TestShardTracePayload:
         assert shard_trace_payload(None) is None
 
     def test_none_without_an_active_span(self):
-        assert isinstance(get_tracer(), NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
         assert shard_trace_payload("/tmp/w") is None
 
     def test_carries_dir_and_traceparent(self, tmp_path):
-        with installed_tracer(Tracer()) as tracer:
+        tracer = Tracer()
+        with installed(tracer=tracer):
             with tracer.span("campaign_drive") as drive:
                 payload = shard_trace_payload(tmp_path)
         assert payload == {
@@ -159,10 +159,10 @@ class TestShardTracePayload:
 
 class TestWorkerTraced:
     def test_no_payload_is_a_noop(self):
-        before = get_tracer()
+        before = instruments().tracer
         with worker_traced(None) as span:
             assert span is None
-            assert get_tracer() is before
+            assert instruments().tracer is before
 
     def test_writes_an_attached_worker_file(self, tmp_path):
         trace = {"dir": str(tmp_path), "traceparent": "00-t5-3-01"}
@@ -170,12 +170,12 @@ class TestWorkerTraced:
             with worker_traced(trace, shard_id="a:0000", app="x") as span:
                 assert span is not None
                 assert span.trace_id == "t5"
-                with get_tracer().span("trial"):
+                with instruments().tracer.span("trial"):
                     pass
         finally:
             reset_worker_tracers()
         path = tmp_path / f"worker-{os.getpid()}.trace.jsonl"
-        events = read_trace(path)
+        events = SPAN_SPEC.read_lines(path)
         assert [e["name"] for e in events] == ["trial", "worker.shard"]
         shard = events[1]
         assert shard["remote_parent"] is True
@@ -196,7 +196,7 @@ class TestWorkerTraced:
         # One file, one tracer: span ids stay unique across shards.
         assert first.span_id != second.span_id
         path = tmp_path / f"worker-{os.getpid()}.trace.jsonl"
-        assert len(read_trace(path)) == 2
+        assert len(SPAN_SPEC.read_lines(path)) == 2
 
     def test_bad_traceparent_raises(self, tmp_path):
         trace = {"dir": str(tmp_path), "traceparent": "nope"}
@@ -252,14 +252,15 @@ class TestMergeTraces:
 
     def test_merged_trace_is_schema_valid_and_fully_linked(self, tmp_path):
         merged = _write_two_worker_campaign(tmp_path)
-        events = validate_trace(merged)  # no TraceWarning: no orphans
+        # No TraceWarning: no orphans.
+        events = SPAN_SPEC.read_lines(merged, required=True)
         assert not orphan_events(events)
         assert len(events) == 6
         assert {event["pid"] for event in events} == {77, 101, 102}
 
     def test_every_worker_span_reaches_the_campaign_root(self, tmp_path):
         merged = _write_two_worker_campaign(tmp_path)
-        events = read_trace(merged)
+        events = SPAN_SPEC.read_lines(merged)
         roots = build_forest(events)
         assert [root.name for root in roots] == ["repro.campaign"]
         names = [span.name for span in roots[0].walk()]
@@ -268,7 +269,7 @@ class TestMergeTraces:
 
     def test_worker_ids_renumbered_above_drivers(self, tmp_path):
         merged = _write_two_worker_campaign(tmp_path)
-        events = read_trace(merged)
+        events = SPAN_SPEC.read_lines(merged)
         driver_ids = {e["span_id"] for e in events if e["pid"] == 77}
         worker_ids = {e["span_id"] for e in events if e["pid"] != 77}
         assert max(driver_ids) < min(worker_ids)
@@ -279,7 +280,7 @@ class TestMergeTraces:
         child second (worker spans included) is subtracted from exactly
         one parent."""
         merged = _write_two_worker_campaign(tmp_path)
-        events = read_trace(merged)
+        events = SPAN_SPEC.read_lines(merged)
         rows = aggregate_trace(events)
         total_self = sum(row["self_seconds"] for row in rows)
         assert total_self == pytest.approx(trace_root_seconds(events))
@@ -317,7 +318,7 @@ class TestMergeTraces:
             )
             with worker.span("worker.shard"), worker.span("trial"):
                 pass  # both close...
-        events = read_trace(worker_dir / "worker-101.trace.jsonl")
+        events = SPAN_SPEC.read_lines(worker_dir / "worker-101.trace.jsonl")
         # ...then drop the shard root, as a SIGKILL mid-write would.
         import json
 
@@ -395,7 +396,7 @@ class TestOffStateOverhead:
         exporter lifecycle — must cost no more than the no-op tracer
         itself (same generous CI-proof bound as
         test_noop_overhead_is_negligible)."""
-        tracer = get_tracer()
+        tracer = instruments().tracer
         assert isinstance(tracer, NullTracer)
         exporter = NullExporter()
         start = time.perf_counter()
@@ -409,7 +410,7 @@ class TestOffStateOverhead:
         assert elapsed < 2.0, f"100k off-state iterations took {elapsed:.3f}s"
 
     def test_shard_payload_off_state_is_cheap_and_absent(self):
-        assert isinstance(get_tracer(), NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
         start = time.perf_counter()
         for _ in range(100_000):
             assert shard_trace_payload("dir") is None

@@ -396,8 +396,11 @@ _TREND_FINGERPRINT = {
 def _trend_history(directory: Path) -> Path:
     """Three pinned bench payloads with a regression step on check/toy
     between run b and run c; check/other stays flat."""
-    from repro.obs.bench import bench_payload, scenario_result_from_samples, \
-        write_bench
+    from repro.obs.bench import (
+        BENCH_SPEC,
+        bench_payload,
+        scenario_result_from_samples,
+    )
 
     directory.mkdir(parents=True, exist_ok=True)
     runs = [
@@ -419,7 +422,7 @@ def _trend_history(directory: Path) -> Path:
             results, suite="golden", warmup=1, repetitions=3,
             fingerprint=dict(_TREND_FINGERPRINT), created_utc=created,
         )
-        write_bench(payload, directory / filename)
+        BENCH_SPEC.write(payload, directory / filename)
     return directory
 
 
@@ -534,8 +537,11 @@ def _memory_history(directory: Path) -> Path:
     the last run while time stays flat."""
     import statistics
 
-    from repro.obs.bench import bench_payload, \
-        scenario_result_from_samples, write_bench
+    from repro.obs.bench import (
+        BENCH_SPEC,
+        bench_payload,
+        scenario_result_from_samples,
+    )
 
     directory.mkdir(parents=True, exist_ok=True)
     runs = [
@@ -564,7 +570,7 @@ def _memory_history(directory: Path) -> Path:
             [result], suite="golden", warmup=1, repetitions=3,
             fingerprint=dict(_TREND_FINGERPRINT), created_utc=created,
         )
-        write_bench(payload, directory / filename)
+        BENCH_SPEC.write(payload, directory / filename)
     return directory
 
 

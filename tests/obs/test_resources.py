@@ -11,20 +11,15 @@ import pytest
 
 from repro.obs.resources import (
     RESOURCES_SCHEMA,
+    RESOURCES_SPEC,
     NullResourceMonitor,
     ResourceError,
     ResourceMonitor,
-    dumps_resources,
     format_resources_table,
-    get_resource_monitor,
-    installed_resource_monitor,
     peak_rss_bytes,
-    read_resources,
     resources_payload,
-    set_resource_monitor,
-    validate_resources,
-    write_resources,
 )
+from repro.obs.context import installed, instruments
 
 GOLDEN = Path(__file__).parent / "golden" / "resources.golden.json"
 
@@ -201,8 +196,8 @@ class TestResourceMonitor:
 
 class TestNullResourceMonitor:
     def test_default_monitor_is_null(self):
-        assert isinstance(get_resource_monitor(), NullResourceMonitor)
-        assert get_resource_monitor().enabled is False
+        assert isinstance(instruments().monitor, NullResourceMonitor)
+        assert instruments().monitor.enabled is False
 
     def test_sections_share_one_noop_object(self):
         null = NullResourceMonitor()
@@ -218,27 +213,28 @@ class TestNullResourceMonitor:
 
     def test_installed_monitor_restores_previous(self):
         monitor = _pinned_monitor()
-        before = get_resource_monitor()
-        with installed_resource_monitor(monitor):
-            assert get_resource_monitor() is monitor
-        assert get_resource_monitor() is before
+        before = instruments().monitor
+        with installed(monitor=monitor):
+            assert instruments().monitor is monitor
+        assert instruments().monitor is before
 
     def test_set_none_restores_null(self):
-        previous = set_resource_monitor(_pinned_monitor())
-        set_resource_monitor(None)
-        assert isinstance(get_resource_monitor(), NullResourceMonitor)
+        previous = instruments().monitor
+        with installed(monitor=_pinned_monitor()):
+            with installed(monitor=None):
+                assert isinstance(instruments().monitor, NullResourceMonitor)
         assert isinstance(previous, NullResourceMonitor)
+        assert instruments().monitor is previous
 
     def test_noop_overhead_is_negligible(self):
         """The pin the CI mem-smoke step relies on: 100k disabled
         sections must stay under the same bound as the null tracer,
         event log, and profiler — the anchors share their hot-loop
         placement."""
-        monitor = get_resource_monitor()
-        assert isinstance(monitor, NullResourceMonitor)
+        assert isinstance(instruments().monitor, NullResourceMonitor)
         start = time.perf_counter()
         for _ in range(100_000):
-            with monitor.section("interpreter.step"):
+            with instruments().monitor.section("interpreter.step"):
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"no-op section overhead too high: {elapsed:.3f}s"
@@ -248,22 +244,23 @@ class TestSchema:
     def test_golden_resources_json(self):
         """The full payload, byte for byte — schema drift must be a
         conscious change to the golden file and RESOURCES_SCHEMA."""
-        assert dumps_resources(_golden_payload()) == GOLDEN.read_text(
+        assert RESOURCES_SPEC.dumps(_golden_payload()) == GOLDEN.read_text(
             encoding="utf-8"
         )
 
     def test_round_trip(self, tmp_path):
         payload = _golden_payload()
-        path = write_resources(payload, tmp_path / "MEM_test.json")
-        assert read_resources(path) == payload
+        path = RESOURCES_SPEC.write(payload, tmp_path / "MEM_test.json")
+        assert RESOURCES_SPEC.read(path) == payload
 
     def test_default_filename_convention(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_resources(_golden_payload())
+        path = RESOURCES_SPEC.write(_golden_payload())
         assert path.name == "MEM_20260101T000000Z.json"
 
     def test_validate_accepts_golden(self):
-        assert validate_resources(_golden_payload())["kind"] == "resources"
+        payload = RESOURCES_SPEC.validate(_golden_payload())
+        assert payload["kind"] == "resources"
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda p: p.update(schema=99), "unsupported resources schema"),
@@ -281,16 +278,16 @@ class TestSchema:
          "cache 'disk'"),
     ])
     def test_validate_rejects_malformed(self, mutate, message):
-        payload = json.loads(dumps_resources(_golden_payload()))
+        payload = json.loads(RESOURCES_SPEC.dumps(_golden_payload()))
         mutate(payload)
         with pytest.raises(ResourceError, match=message):
-            validate_resources(payload)
+            RESOURCES_SPEC.validate(payload)
 
     def test_read_rejects_invalid_json(self, tmp_path):
         torn = tmp_path / "MEM_torn.json"
         torn.write_text('{"schema": 1, "kin')
         with pytest.raises(ResourceError, match="invalid JSON"):
-            read_resources(torn)
+            RESOURCES_SPEC.read(torn)
 
     def test_payload_nulls_without_allocation_tracing(self):
         monitor = ResourceMonitor(
@@ -306,7 +303,7 @@ class TestSchema:
             fingerprint=dict(PINNED_FINGERPRINT),
             created_utc=CREATED,
         )
-        validate_resources(payload)
+        RESOURCES_SPEC.validate(payload)
         assert payload["alloc_current_bytes"] is None
         assert payload["alloc_peak_bytes"] is None
         assert payload["peak_rss_bytes"] == 1024
@@ -347,7 +344,7 @@ class TestAnchors:
 
         bundle = load_app("wind_sensor")
         monitor = ResourceMonitor(track_gc=False)
-        with monitor, installed_resource_monitor(monitor):
+        with monitor, installed(monitor=monitor):
             SJavaChecker(bundle.info).run()
         names = [row["name"] for row in monitor.sections()]
         assert "checker.check" in names

@@ -20,11 +20,10 @@ from repro.obs import (
     format_forest,
     format_tree,
     orphan_events,
-    read_trace,
     trace_root_seconds,
-    validate_trace,
 )
-from repro.obs.sinks import validate_event
+from repro.obs.events import EVENT_SPEC
+from repro.obs.sinks import SPAN_SPEC
 
 GOLDEN = Path(__file__).parent / "golden" / "trace.golden.jsonl"
 
@@ -90,7 +89,7 @@ class TestJsonlWriter:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
-            validate_event(json.loads(line))
+            SPAN_SPEC.validate(json.loads(line))
         # children close first; the root is the last event
         assert json.loads(lines[-1])["parent_id"] is None
 
@@ -118,7 +117,7 @@ class TestJsonlWriter:
                 thread.start()
             for thread in threads:
                 thread.join()
-        events = read_trace(path)  # raises if any line is torn
+        events = SPAN_SPEC.read_lines(path)  # raises if any line is torn
         assert len(events) == 200
 
     def test_emit_after_close_is_a_noop(self, tmp_path):
@@ -160,7 +159,7 @@ class TestTraceValidation:
     def test_reference_trace_round_trips(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        events = validate_trace(path)
+        events = SPAN_SPEC.read_lines(path, required=True)
         assert len(events) == 4
         by_name = {event["name"]: event for event in events}
         assert by_name["repro.check"]["parent_id"] is None
@@ -177,7 +176,7 @@ class TestTraceValidation:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(TraceError, match="no span events"):
-            validate_trace(path)
+            SPAN_SPEC.read_lines(path, required=True)
 
     def test_unrooted_trace_warns_but_survives(self, tmp_path):
         """A run killed mid-span leaves children whose root never
@@ -186,13 +185,13 @@ class TestTraceValidation:
         renderer groups the orphans under a synthetic root)."""
         path = tmp_path / "torn.jsonl"
         _write_reference_trace(path)
-        events = read_trace(path)
+        events = SPAN_SPEC.read_lines(path)
         torn = [e for e in events if e["parent_id"] is not None]
         path.write_text(
             "\n".join(json.dumps(e) for e in torn) + "\n"
         )
         with pytest.warns(TraceWarning, match="orphaned span"):
-            survivors = validate_trace(path)
+            survivors = SPAN_SPEC.read_lines(path, required=True)
         assert len(survivors) == len(torn)
         assert orphan_events(survivors)
 
@@ -200,17 +199,17 @@ class TestTraceValidation:
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json\n")
         with pytest.raises(TraceError, match="invalid JSON"):
-            read_trace(path)
+            SPAN_SPEC.read_lines(path)
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"schema": 1, "event": "span"}) + "\n")
         with pytest.raises(TraceError, match="missing keys"):
-            read_trace(path)
+            SPAN_SPEC.read_lines(path)
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(TraceError, match="unsupported trace schema"):
-            validate_event({
+            SPAN_SPEC.validate({
                 "schema": 999, "event": "span", "trace_id": "t1",
                 "span_id": 1, "parent_id": None, "name": "x",
                 "start_seconds": 0, "duration_seconds": 0,
@@ -232,10 +231,10 @@ class TestTruncatedTail:
     def test_truncated_final_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        complete = len(read_trace(path))
+        complete = len(SPAN_SPEC.read_lines(path))
         self._truncate_tail(path, keep=20)
         with pytest.warns(TraceWarning, match="truncated final line"):
-            events = read_trace(path)
+            events = SPAN_SPEC.read_lines(path)
         assert len(events) == complete - 1
 
     def test_valid_unterminated_final_line_still_returned(self, tmp_path):
@@ -243,9 +242,9 @@ class TestTruncatedTail:
         # is complete, only the newline is missing.  Keep it.
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        complete = len(read_trace(path))
+        complete = len(SPAN_SPEC.read_lines(path))
         path.write_text(path.read_text().rstrip("\n"))
-        events = read_trace(path)
+        events = SPAN_SPEC.read_lines(path)
         assert len(events) == complete
 
     def test_corrupt_terminated_line_still_raises(self, tmp_path):
@@ -257,7 +256,7 @@ class TestTruncatedTail:
         lines[1] = lines[1][:20]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError):
-            read_trace(path)
+            SPAN_SPEC.read_lines(path)
 
     def test_truncated_validation_failure_also_skipped(self, tmp_path):
         # The tail parses as JSON but fails schema validation (e.g. the
@@ -265,16 +264,16 @@ class TestTruncatedTail:
         # same treatment as a parse failure.
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        complete = len(read_trace(path))
+        complete = len(SPAN_SPEC.read_lines(path))
         path.write_text(
             path.read_text() + json.dumps({"schema": 1, "event": "span"})
         )
         with pytest.warns(TraceWarning, match="truncated final line"):
-            events = read_trace(path)
+            events = SPAN_SPEC.read_lines(path)
         assert len(events) == complete
 
     def test_events_reader_shares_the_tolerance(self, tmp_path):
-        from repro.obs import EventLog, JsonlEventWriter, read_events
+        from repro.obs import EventLog, JsonlEventWriter
 
         path = tmp_path / "events.jsonl"
         with JsonlEventWriter(path) as writer:
@@ -283,7 +282,7 @@ class TestTruncatedTail:
             log.emit("two")
         self._truncate_tail(path, keep=10)
         with pytest.warns(TraceWarning, match="truncated final line"):
-            records = read_events(path)
+            records = EVENT_SPEC.read_lines(path)
         assert [r["name"] for r in records] == ["one"]
 
 
@@ -292,7 +291,7 @@ class TestAggregate:
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
         _write_reference_trace(path)  # appends a second identical tree
-        rows = aggregate_trace(read_trace(path))
+        rows = aggregate_trace(SPAN_SPEC.read_lines(path))
         assert rows[0]["name"] == "repro.check"  # widest span first
         by_name = {row["name"]: row for row in rows}
         assert by_name["parse"]["count"] == 2
@@ -307,9 +306,8 @@ class TestAggregate:
         # (1s).  Exclusive times: root 3, check 2, parse 1, flow 1.
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        by_name = {
-            row["name"]: row for row in aggregate_trace(read_trace(path))
-        }
+        rows = aggregate_trace(SPAN_SPEC.read_lines(path))
+        by_name = {row["name"]: row for row in rows}
         assert by_name["repro.check"]["self_seconds"] == pytest.approx(3.0)
         assert by_name["check"]["self_seconds"] == pytest.approx(2.0)
         assert by_name["parse"]["self_seconds"] == pytest.approx(1.0)
@@ -319,7 +317,7 @@ class TestAggregate:
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
         _write_reference_trace(path)
-        events = read_trace(path)
+        events = SPAN_SPEC.read_lines(path)
         rows = aggregate_trace(events)
         assert sum(row["self_seconds"] for row in rows) == pytest.approx(
             trace_root_seconds(events)
@@ -329,7 +327,7 @@ class TestAggregate:
     def test_rows_sorted_by_self_time_then_name(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        rows = aggregate_trace(read_trace(path))
+        rows = aggregate_trace(SPAN_SPEC.read_lines(path))
         keys = [(-row["self_seconds"], row["name"]) for row in rows]
         assert keys == sorted(keys)
         # parse and flow_check tie at 1s self: name breaks the tie
@@ -341,11 +339,11 @@ class TestAggregateTable:
     def test_renders_deterministically(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        events = read_trace(path)
+        events = SPAN_SPEC.read_lines(path)
         rows = aggregate_trace(events)
         first = format_aggregate_table(rows, total_seconds=7.0)
         second = format_aggregate_table(
-            aggregate_trace(read_trace(path)), total_seconds=7.0
+            aggregate_trace(SPAN_SPEC.read_lines(path)), total_seconds=7.0
         )
         assert first == second
         header, *body = first.splitlines()
@@ -355,6 +353,7 @@ class TestAggregateTable:
     def test_counters_render_as_stable_ints(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         _write_reference_trace(path)
-        table = format_aggregate_table(aggregate_trace(read_trace(path)))
+        rows = aggregate_trace(SPAN_SPEC.read_lines(path))
+        table = format_aggregate_table(rows)
         assert "methods=3" in table
         assert "methods=3.0" not in table

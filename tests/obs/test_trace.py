@@ -11,13 +11,11 @@ from repro.obs import (
     NullTracer,
     Span,
     Tracer,
-    get_tracer,
-    installed_tracer,
-    set_tracer,
     span_event,
     timed_span,
 )
-from repro.obs.trace import TRACE_SCHEMA, _NULL_SPAN
+from repro.obs.context import _NULL_SPAN, installed, instruments
+from repro.obs.trace import TRACE_SCHEMA
 
 
 class _ListSink:
@@ -145,7 +143,7 @@ class TestThreadLocality:
 
 class TestNullTracer:
     def test_default_tracer_is_disabled(self):
-        tracer = get_tracer()
+        tracer = instruments().tracer
         assert isinstance(tracer, NullTracer)
         assert tracer.enabled is False
 
@@ -160,30 +158,27 @@ class TestNullTracer:
         assert inner.attrs == {} and inner.counters == {}
 
     def test_installed_tracer_restores_previous(self):
-        before = get_tracer()
+        before = instruments().tracer
         tracer = Tracer()
-        with installed_tracer(tracer) as installed:
-            assert installed is tracer
-            assert get_tracer() is tracer
-        assert get_tracer() is before
+        with installed(tracer=tracer) as context:
+            assert context.tracer is tracer
+            assert instruments().tracer is tracer
+        assert instruments().tracer is before
 
     def test_set_tracer_none_restores_default(self):
-        previous = set_tracer(Tracer())
-        try:
-            set_tracer(None)
-            assert isinstance(get_tracer(), NullTracer)
-        finally:
-            set_tracer(previous)
+        with installed(tracer=Tracer()):
+            with installed(tracer=None):
+                assert isinstance(instruments().tracer, NullTracer)
+            assert isinstance(instruments().tracer, Tracer)
 
     def test_noop_overhead_is_negligible(self):
         """Acceptance: the disabled tracer must not measurably slow hot
         paths.  100k no-op spans must stay far below any per-check cost
         (generous absolute bound to survive slow CI machines)."""
-        tracer = get_tracer()
-        assert isinstance(tracer, NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
         start = time.perf_counter()
         for _ in range(100_000):
-            with tracer.span("hot"):
+            with instruments().tracer.span("hot"):
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"100k no-op spans took {elapsed:.3f}s"
@@ -192,7 +187,7 @@ class TestNullTracer:
 class TestTimedSpan:
     def test_accumulates_even_without_tracer(self):
         timings: dict[str, float] = {}
-        assert isinstance(get_tracer(), NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
         with timed_span("parse", timings):
             time.sleep(0.002)
         with timed_span("parse", timings):
@@ -202,7 +197,7 @@ class TestTimedSpan:
     def test_opens_a_real_span_when_tracing(self):
         sink = _ListSink()
         timings: dict[str, float] = {}
-        with installed_tracer(Tracer(sinks=(sink,))):
+        with installed(tracer=Tracer(sinks=(sink,))):
             with timed_span("phase", timings, mode="sinfer"):
                 pass
         assert [s.name for s in sink.spans] == ["phase"]

@@ -155,7 +155,7 @@ class TestCampaignRun:
         assert report["complete"] is True
         assert report["shards"]["planned"] == runner.executed_shards == 4
         payload = protocol.campaign_payload(report)
-        protocol.validate_campaign_payload(payload)
+        protocol.CAMPAIGN_SPEC.validate(payload)
         (entry,) = report["apps"]
         assert entry["trials"] == 8
         assert entry["injected"] + entry["not_injected"] == 8
@@ -256,7 +256,7 @@ class TestCampaignRun:
         assert entry["timeout"] == entry["trials"]
         assert entry["timeout_rate"] == 1.0
         payload = protocol.campaign_payload(report)
-        protocol.validate_campaign_payload(payload)
+        protocol.CAMPAIGN_SPEC.validate(payload)
 
 
 class TestRunShardWorker:
@@ -286,7 +286,7 @@ class TestGoldenReport:
         )
         report = CampaignRunner(config=config).run()
         payload = protocol.campaign_payload(report)
-        protocol.validate_campaign_payload(payload)
+        protocol.CAMPAIGN_SPEC.validate(payload)
         golden = json.loads(
             (GOLDEN_DIR / "campaign.report.json").read_text()
         )

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import RingBufferSink, Tracer, installed_tracer
+from repro.obs import RingBufferSink, Tracer
 from repro.runtime.campaign import CampaignConfig, CampaignRunner
+from repro.obs.context import installed
 
 OBS_KEYS = {
     "run_seconds", "queue_wait_seconds", "attempts", "retries", "timeouts",
@@ -80,7 +81,7 @@ class TestShardObs:
 class TestCampaignTracing:
     def test_drive_emits_shard_spans(self, tmp_path):
         ring = RingBufferSink()
-        with installed_tracer(Tracer(sinks=(ring,))):
+        with installed(tracer=Tracer(sinks=(ring,))):
             CampaignRunner(
                 config=tiny_config(), checkpoint_path=tmp_path / "ck.json"
             ).run()

@@ -12,8 +12,6 @@ from repro.apps import app_experiment
 from repro.obs.events import (
     EventBuffer,
     EventLog,
-    get_event_log,
-    installed_event_log,
 )
 from repro.runtime.campaign import (
     CampaignConfig,
@@ -27,6 +25,7 @@ from repro.runtime.stabilization import (
     convergence_series,
     divergence_series,
 )
+from repro.obs.context import installed, instruments
 
 
 class TestSeries:
@@ -115,9 +114,7 @@ class TestTrialTelemetry:
     def test_trial_events_emitted(self):
         buffer = EventBuffer()
         experiment = app_experiment("wind_sensor", 8)
-        with installed_event_log(
-            EventLog(level="debug", sinks=(buffer,))
-        ):
+        with installed(event_log=EventLog(level="debug", sinks=(buffer,))):
             experiment.trial_at(5, seed=3)
         names = [r["name"] for r in buffer.records]
         assert "trial.corrupted" in names
@@ -135,7 +132,7 @@ class TestTrialTelemetry:
     def test_iteration_events_gated_below_debug(self):
         buffer = EventBuffer()
         experiment = app_experiment("wind_sensor", 8)
-        with installed_event_log(EventLog(level="info", sinks=(buffer,))):
+        with installed(event_log=EventLog(level="info", sinks=(buffer,))):
             experiment.trial_at(5, seed=3)
         names = {r["name"] for r in buffer.records}
         assert "runtime.iteration" not in names
@@ -144,7 +141,7 @@ class TestTrialTelemetry:
     def test_telemetry_computed_with_events_disabled(self):
         from repro.obs.events import NullEventLog
 
-        assert isinstance(get_event_log(), NullEventLog)
+        assert isinstance(instruments().event_log, NullEventLog)
         experiment = app_experiment("wind_sensor", 8)
         trial = experiment.trial_at(5, seed=3)
         assert trial.divergence is not None
@@ -234,7 +231,7 @@ class TestManifestPersistence:
     def test_campaign_emits_driver_events(self, tmp_path):
         buffer = EventBuffer()
         config = CampaignConfig(**self.CONFIG)
-        with installed_event_log(EventLog(sinks=(buffer,))):
+        with installed(event_log=EventLog(sinks=(buffer,))):
             CampaignRunner(
                 config=config, checkpoint_path=tmp_path / "m.json"
             ).run()

@@ -6,6 +6,7 @@ import json
 
 from repro.cli import main
 from repro.service import protocol
+from repro.obs.sinks import SPAN_SPEC
 
 ARGS = [
     "campaign", "--apps", "wind_sensor", "--trials", "8", "--strata", "4",
@@ -17,7 +18,7 @@ class TestCampaignCli:
     def test_json_output_validates(self, capsys):
         assert main(ARGS + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        protocol.validate_campaign_payload(payload)
+        protocol.CAMPAIGN_SPEC.validate(payload)
         assert payload["complete"] is True
 
     def test_human_output_summarizes_each_app(self, capsys):
@@ -31,7 +32,7 @@ class TestCampaignCli:
         assert main(ARGS + ["--report", str(report_path)]) == 0
         capsys.readouterr()
         payload = protocol.loads(report_path.read_text())
-        protocol.validate_campaign_payload(payload)
+        protocol.CAMPAIGN_SPEC.validate(payload)
 
     def test_checkpointed_run_resumes_via_cli(self, tmp_path, capsys):
         checkpoint = tmp_path / "ck.json"
@@ -84,12 +85,12 @@ class TestCampaignDistributedTrace:
         root, and the merged file is schema-valid with no orphans."""
         import warnings
 
-        from repro.obs import build_forest, validate_trace
+        from repro.obs import build_forest
 
         trace = self._run(tmp_path, capsys)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no orphan warnings allowed
-            events = validate_trace(trace)
+            events = SPAN_SPEC.read_lines(trace, required=True)
         roots = build_forest(events)
         campaign_roots = [
             root for root in roots if root.name == "repro.campaign"
@@ -110,10 +111,9 @@ class TestCampaignDistributedTrace:
             assert shard.children, "no spans nested under the shard"
 
     def test_every_event_carries_pid_provenance(self, tmp_path, capsys):
-        from repro.obs import read_trace
 
         trace = self._run(tmp_path, capsys)
-        events = read_trace(trace)
+        events = SPAN_SPEC.read_lines(trace)
         assert events and all("pid" in event for event in events)
 
     def test_merge_message_and_worker_files_remain(self, tmp_path, capsys):

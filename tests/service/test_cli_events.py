@@ -11,11 +11,11 @@ import pytest
 from repro.apps import programs_dir
 from repro.cli import main
 from repro.obs.events import (
+    EVENT_SPEC,
     NullEventLog,
-    get_event_log,
-    read_events,
-    validate_events,
 )
+from repro.obs.context import instruments
+from repro.obs.sinks import SPAN_SPEC
 
 WIND = str(programs_dir() / "wind_sensor.sj")
 
@@ -33,7 +33,7 @@ class TestEventsFlag:
             "--trials", "2", "--iterations", "8",
             "--events", str(events_path),
         ]) == 0
-        records = validate_events(events_path)
+        records = EVENT_SPEC.read_lines(events_path, required=True)
         names = {r["name"] for r in records}
         assert "trial.corrupted" in names
         assert "runtime.iteration" in names
@@ -46,7 +46,7 @@ class TestEventsFlag:
             "inject", WIND, "--trials", "2", "--iterations", "8",
             "--events", str(events_path),
         ]) == 0
-        records = validate_events(events_path)
+        records = EVENT_SPEC.read_lines(events_path, required=True)
         assert all(r["level"] != "debug" for r in records)
 
     def test_campaign_events_cover_plan_and_shards(self, tmp_path, capsys):
@@ -56,7 +56,7 @@ class TestEventsFlag:
             "--events", str(events_path),
         ]) == 0
         capsys.readouterr()
-        names = [r["name"] for r in read_events(events_path)]
+        names = [r["name"] for r in EVENT_SPEC.read_lines(events_path)]
         assert names.count("campaign.plan") == 1
         assert names.count("campaign.shard") == 2
 
@@ -69,11 +69,10 @@ class TestEventsFlag:
             "--trace", str(trace_path),
         ]) == 0
         capsys.readouterr()
-        from repro.obs import read_trace
 
-        span_ids = {e["span_id"] for e in read_trace(trace_path)}
+        span_ids = {e["span_id"] for e in SPAN_SPEC.read_lines(trace_path)}
         correlated = [
-            r for r in read_events(events_path)
+            r for r in EVENT_SPEC.read_lines(events_path)
             if r["trace_id"] is not None
         ]
         assert correlated
@@ -84,7 +83,7 @@ class TestEventsFlag:
             "inject", WIND, "--trials", "2", "--iterations", "8",
         ]) == 0
         capsys.readouterr()
-        assert isinstance(get_event_log(), NullEventLog)
+        assert isinstance(instruments().event_log, NullEventLog)
 
     def test_log_level_bridges_to_stdlib_logging(self, capsys, caplog):
         with caplog.at_level(logging.INFO, logger="repro"):

@@ -7,7 +7,9 @@ import re
 
 from repro.apps import programs_dir
 from repro.cli import main
-from repro.obs import NullTracer, get_tracer, validate_trace
+from repro.obs import NullTracer
+from repro.obs.context import instruments
+from repro.obs.sinks import SPAN_SPEC
 
 WIND = str(programs_dir() / "wind_sensor.sj")
 
@@ -33,7 +35,7 @@ class TestProfile:
 
     def test_profile_leaves_no_tracer_installed(self, capsys):
         assert main(["check", WIND, "--profile"]) == 0
-        assert isinstance(get_tracer(), NullTracer)
+        assert isinstance(instruments().tracer, NullTracer)
 
     def test_infer_profile_shows_engine_phases(self, capsys):
         assert main(["infer", WIND, "--quiet", "--profile"]) == 0
@@ -48,7 +50,7 @@ class TestTraceFlag:
         assert main(["check", WIND, "--trace", str(trace)]) == 0
         err = capsys.readouterr().err
         assert f"// trace written to {trace}" in err
-        events = validate_trace(trace)
+        events = SPAN_SPEC.read_lines(trace, required=True)
         names = {event["name"] for event in events}
         assert {"repro.check", "parse", "check"} <= names
         roots = [e for e in events if e["parent_id"] is None]
@@ -60,7 +62,7 @@ class TestTraceFlag:
         assert main([
             "batch", WIND, "--no-cache", "--trace", str(trace)
         ]) == 0
-        events = validate_trace(trace)
+        events = SPAN_SPEC.read_lines(trace, required=True)
         roots = [e for e in events if e["parent_id"] is None]
         assert [r["name"] for r in roots] == ["repro.batch"]
         assert roots[0]["attrs"]["files"] == 1

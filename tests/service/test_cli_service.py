@@ -26,7 +26,7 @@ class TestCheckJson:
         byte-for-byte up to the volatile fields."""
         assert main(["check", WIND, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        protocol.validate_check_payload(payload)
+        protocol.CHECK_SPEC.validate(payload)
         assert payload["version"] == protocol.PROTOCOL_VERSION
         for volatile in VOLATILE:
             payload.pop(volatile, None)
@@ -40,7 +40,7 @@ class TestCheckJson:
         bad.write_text(broken_source)
         assert main(["check", str(bad), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        protocol.validate_check_payload(payload)
+        protocol.CHECK_SPEC.validate(payload)
         assert payload["self_stabilizing"] is False
         assert payload["error_count"] > 0
         kinds = {d["check"] for d in payload["report"]["diagnostics"]}

@@ -9,10 +9,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.events import NullEventLog, get_event_log
+from repro.obs.events import NullEventLog
 from repro.service.cache import ResultCache
 from repro.service.client import ReproClient, ServiceError
 from repro.service.server import ReproServer
+from repro.obs.events import EVENT_SPEC
+from repro.obs.context import instruments
 
 
 @pytest.fixture
@@ -98,26 +100,25 @@ class TestEventsOp:
                 client.events(limit=-1)
 
     def test_records_validate_as_event_envelopes(self, server):
-        from repro.obs.events import validate_event_record
 
         with ReproClient(server.socket_path) as client:
             client.status()
             response = client.events()
         assert response["events"]
         for record in response["events"]:
-            validate_event_record(record)
+            EVENT_SPEC.validate(record)
 
 
 class TestEventLogLifecycle:
     def test_server_installs_and_close_restores_event_log(self, tmp_path):
-        before = get_event_log()
+        before = instruments().event_log
         assert isinstance(before, NullEventLog)
         srv = ReproServer(tmp_path / "a.sock")
         try:
-            assert get_event_log() is srv.event_log
+            assert instruments().event_log is srv.event_log
         finally:
             srv.close()
-        assert get_event_log() is before
+        assert instruments().event_log is before
 
 
 class TestSocketCli:
@@ -175,10 +176,9 @@ class TestSocketCli:
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
-        from repro.obs.events import validate_event_record
 
         for line in lines:
-            validate_event_record(json.loads(line))
+            EVENT_SPEC.validate(json.loads(line))
 
     def test_events_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["events"]) == 2

@@ -12,10 +12,11 @@ import threading
 
 import pytest
 
-from repro.obs import NullTracer, get_tracer
+from repro.obs import NullTracer
 from repro.service.cache import ResultCache
 from repro.service.client import ReproClient
 from repro.service.server import ReproServer
+from repro.obs.context import instruments
 
 
 @pytest.fixture
@@ -182,11 +183,11 @@ class TestConcurrentTracing:
 
 class TestTracerLifecycle:
     def test_server_installs_and_close_restores_tracer(self, tmp_path):
-        before = get_tracer()
+        before = instruments().tracer
         assert isinstance(before, NullTracer)
         srv = ReproServer(tmp_path / "a.sock")
         try:
-            assert get_tracer() is srv.tracer
+            assert instruments().tracer is srv.tracer
         finally:
             srv.close()
-        assert get_tracer() is before
+        assert instruments().tracer is before

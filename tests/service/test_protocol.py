@@ -69,7 +69,7 @@ class TestCheckReportRoundTrip:
     def test_payload_validates(self, wind_source):
         report = check_program(wind_source)
         payload = protocol.check_payload(report, file="wind.sj")
-        protocol.validate_check_payload(payload)  # must not raise
+        protocol.CHECK_SPEC.validate(payload)  # must not raise
         assert payload["version"] == protocol.PROTOCOL_VERSION
         clone = protocol.report_from_payload(payload)
         assert clone.self_stabilizing == report.self_stabilizing
@@ -112,13 +112,13 @@ class TestEnvelopes:
         payload = protocol.error_payload("x")
         payload["version"] = "999.0"
         with pytest.raises(ProtocolError):
-            protocol.validate_version(payload)
+            protocol.ENVELOPE_SPEC.validate(payload)
 
     def test_tampered_counts_rejected(self, wind_source):
         payload = protocol.check_payload(check_program(wind_source))
         payload["error_count"] = 3
         with pytest.raises(ProtocolError):
-            protocol.validate_check_payload(payload)
+            protocol.CHECK_SPEC.validate(payload)
 
     def test_campaign_payload_tampering_rejected(self):
         base = {
@@ -149,7 +149,7 @@ class TestEnvelopes:
         }
         payload = protocol.campaign_payload(base)
         assert payload["kind"] == "campaign"
-        protocol.validate_campaign_payload(payload)  # must not raise
+        protocol.CAMPAIGN_SPEC.validate(payload)  # must not raise
 
         import copy
 
@@ -157,7 +157,7 @@ class TestEnvelopes:
             clone = copy.deepcopy(payload)
             mutate(clone)
             with pytest.raises(ProtocolError):
-                protocol.validate_campaign_payload(clone)
+                protocol.CAMPAIGN_SPEC.validate(clone)
 
         broken(lambda p: p.update(mode="chaotic"))
         broken(lambda p: p.update(complete="yes"))

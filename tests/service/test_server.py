@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -123,6 +125,17 @@ class TestShutdown:
         assert response["ok"] and response["stopping"]
         thread.join(timeout=5)
         assert not thread.is_alive()
+        srv.close()
+
+    def test_shutdown_does_not_wait_out_the_default_poll(self, tmp_path):
+        """``shutdown()`` returns once ``serve_forever`` polls; the
+        daemon polls well under socketserver's default 0.5 s."""
+        srv = ReproServer(tmp_path / "s.sock")
+        thread = srv.start()
+        start = time.perf_counter()
+        srv.shutdown()
+        assert time.perf_counter() - start < 0.25
+        thread.join(timeout=5)
         srv.close()
 
 

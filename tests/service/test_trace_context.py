@@ -15,10 +15,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs import Tracer, installed_tracer, span_event
+from repro.obs import Tracer, span_event
 from repro.service.cache import ResultCache
 from repro.service.client import ReproClient, ServiceError
 from repro.service.server import ReproServer
+from repro.obs.context import installed
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ class TestClientPropagation:
         trace — same trace id, parent edge to the client's span —
         across the socket."""
         client_tracer = Tracer()
-        with installed_tracer(client_tracer):
+        with installed(tracer=client_tracer):
             with client_tracer.span("campaign.trial") as trial:
                 with ReproClient(server.socket_path) as client:
                     assert client.check(source=wind_source)["ok"]
@@ -66,7 +67,7 @@ class TestClientPropagation:
         """A remote parent must not hide the op span from the daemon's
         own ring buffer: attached roots are still local roots."""
         client_tracer = Tracer()
-        with installed_tracer(client_tracer):
+        with installed(tracer=client_tracer):
             with client_tracer.span("outer"):
                 with ReproClient(server.socket_path) as client:
                     client.request({"op": "status"})
@@ -76,7 +77,7 @@ class TestClientPropagation:
         self, server
     ):
         client_tracer = Tracer()
-        with installed_tracer(client_tracer):
+        with installed(tracer=client_tracer):
             with client_tracer.span("ignored"):
                 with ReproClient(server.socket_path) as client:
                     response = client.request(
@@ -90,7 +91,7 @@ class TestClientPropagation:
     def test_client_payload_not_mutated(self, server):
         client_tracer = Tracer()
         payload = {"op": "status"}
-        with installed_tracer(client_tracer):
+        with installed(tracer=client_tracer):
             with client_tracer.span("outer"):
                 with ReproClient(server.socket_path) as client:
                     client.request(payload)
@@ -244,7 +245,7 @@ def test_span_event_round_trip_marker(server, wind_source):
     remote-rooted op span keeps the marker (what `repro serve` would
     write to a trace file)."""
     client_tracer = Tracer()
-    with installed_tracer(client_tracer):
+    with installed(tracer=client_tracer):
         with client_tracer.span("outer"):
             with ReproClient(server.socket_path) as client:
                 client.request({"op": "status"})
