@@ -8,11 +8,13 @@ PYTHON ?= python
 test:
 	$(PYTHON) -m pytest tests/
 
+# Regenerate the paper's tables (benchmarks/results/*.txt); timing is
+# repro bench's job (docs/BENCHMARKS.md).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/
 
 bench-full:
-	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/
 
 # Perf trajectory over the checked-in bench history (docs/BENCHMARKS.md).
 bench-trend:
@@ -66,6 +68,6 @@ batch-check:
 	$(PYTHON) -m repro.cli batch src/repro/apps/programs
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis
 	rm -f MEM_smoke.json BENCH_mem_smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

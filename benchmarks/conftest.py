@@ -1,16 +1,10 @@
 """Shared configuration for the evaluation benchmarks.
 
-Each benchmark regenerates one table or figure of the paper's Chapter 6
-evaluation.  The result tables are printed and written to
-``benchmarks/results/``; the pytest-benchmark timings measure the cost
-of the underlying operation (one checker run, one inference run, one
-injection trial, ...).
-
-Every ``.txt`` result now has a machine-readable twin: the suites route
-their timings through :mod:`repro.obs.bench`, so next to each
-``<name>.txt`` lands a schema-versioned ``<name>.json`` that
-``repro bench --compare`` can diff and gate on (see
-``docs/BENCHMARKS.md``).
+Each test regenerates one table or figure of the paper's Chapter 6
+evaluation: it prints the table, writes it to ``benchmarks/results/``
+and asserts the figure's shape.  Nothing here times anything — the
+unit operation behind each figure is a registered ``repro bench``
+scenario (``docs/BENCHMARKS.md`` maps figures to scenarios).
 
 Scale: the paper uses 1,000 MP3 trials and 100 eye/robot trials.  The
 default here is reduced so a full benchmark run stays in the minutes;
@@ -23,12 +17,6 @@ import os
 from pathlib import Path
 
 import pytest
-
-from repro.obs.bench import (
-    BENCH_SPEC,
-    bench_payload,
-    scenario_result_from_samples,
-)
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
@@ -45,45 +33,6 @@ def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text, encoding="utf-8")
     print("\n" + text)
-
-
-def write_bench_result(
-    stem: str,
-    *,
-    kind: str,
-    benchmark=None,
-    samples=None,
-    counters: dict | None = None,
-    scenario: str | None = None,
-) -> None:
-    """Write ``results/<stem>.json`` — the schema-versioned twin of
-    ``results/<stem>.txt``, carrying the suite's timing samples.
-
-    ``benchmark`` is the pytest-benchmark fixture after it ran (one
-    sample per round); alternatively pass raw ``samples`` in seconds.
-    """
-    if samples is None:
-        samples = list(benchmark.stats.stats.data)
-    write_bench_results(stem, [
-        scenario_result_from_samples(
-            scenario or f"paper/{stem}", kind, samples, counters=counters
-        )
-    ])
-
-
-def write_bench_results(stem: str, results: list[dict]) -> None:
-    """Write several scenario results into one ``results/<stem>.json``
-    (the backend comparison emits one scenario per execution engine)."""
-    repetitions = max(len(r["samples_seconds"]) for r in results)
-    payload = BENCH_SPEC.validate(
-        bench_payload(
-            results, suite="paper-figures", warmup=0, repetitions=repetitions
-        )
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{stem}.json").write_text(
-        BENCH_SPEC.dumps(payload), encoding="utf-8"
-    )
 
 
 @pytest.fixture(scope="session")

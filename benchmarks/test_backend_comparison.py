@@ -4,57 +4,49 @@ closure-compiling runner (the code-generation strategy of Section 4.4).
 Both are observationally identical (differential tests in
 ``tests/runtime/test_compiler.py``); this benchmark quantifies the
 compiled backend's speedup on the MP3 decoder, the heaviest workload.
+The speedup is the figure's content, so both engines are timed here,
+through the ``repro bench`` runner.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.apps import app_device_factory, load_app
+from repro.obs.bench import KIND_INTERPRETER, Scenario, run_scenario
 from repro.runtime import Interpreter, RuntimeOptions
 from repro.runtime.compiler import CompiledRunner
 
-from repro.obs.bench import scenario_result_from_samples
-
-from .conftest import write_bench_results, write_result
+from .conftest import write_result
 
 FRAMES = 40
 
 
-def decode_with(backend) -> int:
-    app = load_app("mp3_decoder")
-    engine = backend(
-        app.info,
-        app_device_factory("mp3_decoder", FRAMES)(),
-        options=RuntimeOptions(ignore_errors=True),
+def decode_scenario(backend) -> Scenario:
+    """One full MP3 decode on ``backend``; counts the output samples."""
+
+    def build():
+        app = load_app("mp3_decoder")
+        devices = app_device_factory("mp3_decoder", FRAMES)
+
+        def op() -> dict:
+            engine = backend(
+                app.info, devices(), options=RuntimeOptions(ignore_errors=True)
+            )
+            return {"samples": len(engine.run())}
+
+        return op
+
+    return Scenario(f"backend/{backend.__name__}", KIND_INTERPRETER, (), build)
+
+
+def test_backend_speedup_report():
+    interp_run, compiled_run = (
+        run_scenario(decode_scenario(backend), warmup=0, repetitions=3)
+        for backend in (Interpreter, CompiledRunner)
     )
-    return len(engine.run())
-
-
-def test_backend_interpreter(benchmark):
-    samples = benchmark(decode_with, Interpreter)
-    assert samples == FRAMES * 16
-
-
-def test_backend_compiled(benchmark):
-    samples = benchmark(decode_with, CompiledRunner)
-    assert samples == FRAMES * 16
-
-
-def test_backend_speedup_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    def sample(backend, rounds=3) -> list[float]:
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            decode_with(backend)
-            times.append(time.perf_counter() - start)
-        return times
-
-    interp_times = sample(Interpreter)
-    compiled_times = sample(CompiledRunner)
-    interp, compiled = min(interp_times), min(compiled_times)
+    assert interp_run["counters"]["samples"] == FRAMES * 16
+    assert compiled_run["counters"]["samples"] == FRAMES * 16
+    interp = interp_run["min_seconds"]
+    compiled = compiled_run["min_seconds"]
     lines = [
         "Execution backends on the MP3 decoder "
         f"({FRAMES} frames, best of 3):",
@@ -63,14 +55,4 @@ def test_backend_speedup_report(benchmark):
         f"  speedup: {interp / compiled:.2f}x",
     ]
     write_result("backend_comparison.txt", "\n".join(lines))
-    write_bench_results("backend_comparison", [
-        scenario_result_from_samples(
-            "paper/backend_interpreter", "interpreter-step", interp_times,
-            counters={"frames": FRAMES},
-        ),
-        scenario_result_from_samples(
-            "paper/backend_compiled", "interpreter-step", compiled_times,
-            counters={"frames": FRAMES},
-        ),
-    ])
     assert compiled <= interp * 1.2

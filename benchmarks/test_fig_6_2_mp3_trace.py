@@ -17,7 +17,7 @@ from repro.runtime import (
     StabilizationExperiment,
 )
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 FRAMES = 24
 
@@ -53,8 +53,8 @@ def pick_visible_injection() -> int:
     raise AssertionError("no visible mid-stream injection found")
 
 
-def test_fig_6_2_signal_trace(benchmark):
-    normal = benchmark(decode)
+def test_fig_6_2_signal_trace():
+    normal = decode()
     target = pick_visible_injection()
     injected = decode(ErrorInjector(target_step=target, seed=target + 1))
 
@@ -85,9 +85,3 @@ def test_fig_6_2_signal_trace(benchmark):
         marker = "  <-- deviation" if first <= i <= last and normal[i] != injected[i] else ""
         lines.append(f"{i:6d}  {normal[i]:+9.4f}  {injected[i]:+9.4f}{marker}")
     write_result("fig_6_2_mp3_trace.txt", "\n".join(lines))
-    write_bench_result(
-        "fig_6_2_mp3_trace",
-        kind="interpreter-step",
-        benchmark=benchmark,
-        counters={"samples": len(normal)},
-    )

@@ -14,7 +14,7 @@ from repro.apps import APP_NAMES, app_source, load_app
 from repro.core.annotations import count_annotations
 from repro.core.checker import SJavaChecker
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 
 def count_loc(source: str) -> int:
@@ -42,8 +42,8 @@ def collect_rows():
     return rows
 
 
-def test_fig_6_3_annotation_counts(benchmark):
-    rows = benchmark(collect_rows)
+def test_fig_6_3_annotation_counts():
+    rows = collect_rows()
     lines = [
         "Figure 6.3 — Number and type of annotations",
         f"{'benchmark':16s} {'Location':>9s} {'Lattice':>8s} "
@@ -61,12 +61,6 @@ def test_fig_6_3_annotation_counts(benchmark):
         "Java types)"
     )
     write_result("fig_6_3_annotation_counts.txt", "\n".join(lines))
-    write_bench_result(
-        "fig_6_3_annotation_counts",
-        kind="check",
-        benchmark=benchmark,
-        counters={"apps": len(rows), "annotations": total_ann},
-    )
 
     # every annotated benchmark passes the full checker
     for name in APP_NAMES:

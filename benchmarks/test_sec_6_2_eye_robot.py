@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.apps import app_device_factory, load_app
 from repro.runtime import RuntimeOptions, StabilizationExperiment
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 ITERATIONS = 60
 
@@ -54,11 +54,7 @@ def summarize(name, experiment, trials, worst_case: int):
     return lines
 
 
-def test_sec_6_2_2_eye_tracker(benchmark, scale):
-    experiment, _ = run_app_trials("eye_tracker", 1, burst=10, seed=0)
-    benchmark.pedantic(
-        lambda: experiment.trial(seed=123, burst=10), rounds=3, iterations=1
-    )
+def test_sec_6_2_2_eye_tracker(scale):
     experiment, trials = run_app_trials(
         "eye_tracker", scale["eye_trials"], burst=10, seed=1
     )
@@ -70,19 +66,9 @@ def test_sec_6_2_2_eye_tracker(benchmark, scale):
              "history-depth worst case 3 + 1 for burst spanning a frame)"]
     lines += summarize("eye_tracker", experiment, trials, worst_case=4)
     write_result("sec_6_2_2_eye_tracker.txt", "\n".join(lines))
-    write_bench_result(
-        "sec_6_2_2_eye_tracker",
-        kind="campaign-shard",
-        benchmark=benchmark,
-        counters={"trials": len(trials)},
-    )
 
 
-def test_sec_6_2_3_sumo_robot(benchmark, scale):
-    experiment, _ = run_app_trials("sumo_robot", 1, burst=1, seed=0)
-    benchmark.pedantic(
-        lambda: experiment.trial(seed=321), rounds=3, iterations=1
-    )
+def test_sec_6_2_3_sumo_robot(scale):
     experiment, trials = run_app_trials(
         "sumo_robot", scale["robot_trials"], burst=1, seed=2
     )
@@ -91,9 +77,3 @@ def test_sec_6_2_3_sumo_robot(benchmark, scale):
              "54 changed, recovery next iteration)"]
     lines += summarize("sumo_robot", experiment, trials, worst_case=1)
     write_result("sec_6_2_3_sumo_robot.txt", "\n".join(lines))
-    write_bench_result(
-        "sec_6_2_3_sumo_robot",
-        kind="campaign-shard",
-        benchmark=benchmark,
-        counters={"trials": len(trials)},
-    )

@@ -17,13 +17,12 @@ SJava checker.
 from __future__ import annotations
 
 from repro.apps import APP_NAMES, app_source, load_app
-from repro.core.checker import SJavaChecker
 from repro.core.environment import LocationWorld
 from repro.core.errors import DiagnosticSink
 from repro.infer import infer_annotations, lattice_metrics
 from repro.infer.metrics import summarize_metrics
 
-from .conftest import write_bench_result, write_result
+from .conftest import write_result
 
 
 def manual_metrics(name: str):
@@ -56,16 +55,7 @@ def count_loc(source: str) -> int:
     )
 
 
-def test_table_6_1_inference_evaluation(benchmark):
-    # the timed unit: one SInfer run on the most complex benchmark
-    benchmark(
-        lambda: infer_annotations(
-            load_app("mp3_decoder", annotated=False).info,
-            mode="sinfer",
-            verify=False,
-        )
-    )
-
+def test_table_6_1_inference_evaluation():
     lines = [
         "Table 6.1 — Inference evaluation (manual vs naive vs SInfer)",
         f"{'benchmark':14s} {'strategy':8s} "
@@ -95,13 +85,6 @@ def test_table_6_1_inference_evaluation(benchmark):
         "linear types)"
     )
     write_result("table_6_1_inference.txt", "\n".join(lines))
-    write_bench_result(
-        "table_6_1_inference",
-        kind="infer",
-        benchmark=benchmark,
-        scenario="paper/table_6_1_sinfer_mp3",
-        counters={"apps": len(APP_NAMES)},
-    )
 
     # shape assertions (who wins): SInfer never more complex than naive
     for name in APP_NAMES:

@@ -346,13 +346,13 @@ def scenario_result_from_samples(
     spans: Optional[Sequence[dict]] = None,
     memory: Optional[dict] = None,
 ) -> dict:
-    """A scenario result from externally measured samples — how the
-    paper-figure suites under ``benchmarks/`` feed their
-    pytest-benchmark timings into the same JSON schema.  ``spans`` is an
-    optional per-span self-time table (see :func:`run_scenario` with
+    """One scenario result in the payload schema, from its timing
+    samples in seconds — what :func:`run_scenario` returns and what
+    tests use to build payloads directly.  ``spans`` is an optional
+    per-span self-time table (see :func:`run_scenario` with
     ``span_table=True``) ready for :func:`attribute_benchmarks`;
-    ``memory`` is an optional externally measured ``memory`` section
-    (the :func:`run_scenario` ``memory=True`` shape)."""
+    ``memory`` is an optional ``memory`` section (the
+    :func:`run_scenario` ``memory=True`` shape)."""
     if kind not in KINDS:
         raise BenchError(f"unknown scenario kind {kind!r}")
     samples = [float(s) for s in samples]
@@ -504,28 +504,25 @@ def run_scenario(
                 if monitor is not None:
                     alloc_samples.append(monitor.end_sample())
                 if returned:
-                    counters = {
-                        k: float(v) for k, v in sorted(returned.items())
-                    }
+                    counters = returned
             if sink is not None:
                 # Stop collecting before the root closes so the bench.*
                 # span never reaches the table even via other sinks.
                 sink.enabled = False
             root.count("repetitions", repetitions)
-    result = {
-        "name": scenario.name,
-        "kind": scenario.kind,
-        "warmup": max(0, warmup),
-        "repetitions": repetitions,
-        "samples_seconds": samples,
-        "counters": counters,
-        **_stats(samples),
-    }
-    if sink is not None:
-        result["spans"] = _span_table(sink.events, scenario.name)
-    if monitor is not None:
-        result["memory"] = _memory_section(monitor, alloc_samples, gc_before)
-    return result
+    return scenario_result_from_samples(
+        scenario.name, scenario.kind, samples,
+        counters=counters,
+        warmup=max(0, warmup),
+        spans=(
+            _span_table(sink.events, scenario.name)
+            if sink is not None else None
+        ),
+        memory=(
+            _memory_section(monitor, alloc_samples, gc_before)
+            if monitor is not None else None
+        ),
+    )
 
 
 def run_scenarios(
@@ -711,17 +708,39 @@ BENCH_SPEC = Spec("bench payload", BenchError, {
 # ---------------------------------------------------------------------------
 
 
+def judge_shift(
+    old: float, new: float, noise: float, threshold_pct: float
+) -> tuple[Optional[float], str]:
+    """The one meaningful-shift rule, as ``(delta_pct, status)``.
+
+    A shift is meaningful only when its magnitude exceeds ``noise``
+    (the combined stddev of both sides); a meaningful shift beyond
+    ``±threshold_pct`` is a regression (up) or an improvement (down),
+    anything else is within noise.  A zero baseline has no percentage:
+    any meaningful growth from it is a regression."""
+    meaningful = abs(new - old) > noise
+    if old <= 0:
+        status = REGRESSION if meaningful and new > 0 else WITHIN_NOISE
+        return None, status
+    delta_pct = (new - old) / old * 100.0
+    if meaningful and delta_pct > threshold_pct:
+        return delta_pct, REGRESSION
+    if meaningful and delta_pct < -threshold_pct:
+        return delta_pct, IMPROVEMENT
+    return delta_pct, WITHIN_NOISE
+
+
 def compare_benchmarks(
     old: dict, new: dict, threshold_pct: float = 10.0
 ) -> dict:
     """Compare two bench payloads scenario by scenario.
 
-    A median shift is *meaningful* only when its magnitude exceeds the
-    combined sample noise (``stddev_old + stddev_new``); a meaningful
-    shift beyond ``threshold_pct`` is a regression (slower) or an
-    improvement (faster), anything else is within noise.  Scenarios the
-    baseline has but the new run lacks are ``missing`` — the gate fails
-    on them, because silently dropping coverage must not pass.
+    Each median shift is judged by :func:`judge_shift` with the
+    combined sample noise (``stddev_old + stddev_new``) as its
+    envelope: a regression (slower), an improvement (faster) or within
+    noise.  Scenarios the baseline has but the new run lacks are
+    ``missing`` — the gate fails on them, because silently dropping
+    coverage must not pass.
 
     Scenarios carrying a ``memory`` section in *both* payloads are
     additionally judged on their median per-repetition allocation peak,
@@ -754,20 +773,9 @@ def compare_benchmarks(
             noise = float(old_s["stddev_seconds"]) + float(
                 new_s["stddev_seconds"]
             )
-            meaningful = abs(new_med - old_med) > noise
-            delta_pct = (
-                (new_med - old_med) / old_med * 100.0 if old_med > 0 else None
+            delta_pct, status = judge_shift(
+                old_med, new_med, noise, threshold_pct
             )
-            if delta_pct is None:
-                # degenerate zero baseline: any meaningful time is slower
-                status = REGRESSION if (meaningful and new_med > 0) \
-                    else WITHIN_NOISE
-            elif meaningful and delta_pct > threshold_pct:
-                status = REGRESSION
-            elif meaningful and delta_pct < -threshold_pct:
-                status = IMPROVEMENT
-            else:
-                status = WITHIN_NOISE
             row.update(
                 new_median_seconds=new_med,
                 delta_pct=delta_pct,
@@ -827,19 +835,9 @@ def _compare_memory(
         noise = float(old_m.get("alloc_stddev_bytes", 0.0)) + float(
             new_m.get("alloc_stddev_bytes", 0.0)
         )
-        meaningful = abs(new_med - old_med) > noise
-        delta_pct = (
-            (new_med - old_med) / old_med * 100.0 if old_med > 0 else None
+        delta_pct, status = judge_shift(
+            old_med, new_med, noise, threshold_pct
         )
-        if delta_pct is None:
-            status = REGRESSION if (meaningful and new_med > 0) \
-                else WITHIN_NOISE
-        elif meaningful and delta_pct > threshold_pct:
-            status = REGRESSION
-        elif meaningful and delta_pct < -threshold_pct:
-            status = IMPROVEMENT
-        else:
-            status = WITHIN_NOISE
         rows.append({
             "name": name,
             "old_alloc_median_bytes": old_med,

@@ -35,7 +35,6 @@ run.
 
 from __future__ import annotations
 
-import collections
 import json
 import logging
 import threading
@@ -57,7 +56,7 @@ from repro.obs.schema import (
     one_of,
     schema_version,
 )
-from repro.obs.sinks import JsonlWriter
+from repro.obs.sinks import JsonlWriter, RingBufferSink
 
 #: Bump when the event envelope layout changes.
 EVENTS_SCHEMA = 1
@@ -178,28 +177,14 @@ class JsonlEventWriter(JsonlWriter):
     (see :class:`repro.obs.sinks.JsonlWriter`)."""
 
 
-class EventBuffer:
+class EventBuffer(RingBufferSink):
     """Keeps the most recent ``capacity`` event records in memory —
     the daemon's ``events`` op reads from one of these."""
 
     def __init__(self, capacity: int = 512) -> None:
-        self._records: collections.deque[dict] = collections.deque(
-            maxlen=capacity
-        )
-        self._lock = threading.Lock()
+        super().__init__(capacity)
 
-    def write(self, record: dict) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    @property
-    def records(self) -> list[dict]:
-        with self._lock:
-            return list(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
+    records = RingBufferSink.roots
 
 
 class LoggingBridge:

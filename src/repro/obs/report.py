@@ -581,18 +581,25 @@ def _memory_section(benches: list[tuple[str, dict]]) -> str:
     )
 
 
-def _spark_figure(entry: dict) -> str:
-    """One perf-trajectory sparkline: the series' medians left to right,
-    scaled to the data range, with a dot on every changepoint (red for a
-    regression step, green for an improvement)."""
-    points = entry["points"]
-    medians = [p["median_seconds"] for p in points]
+def _spark_figure(
+    entry: dict,
+    values: Sequence[tuple[int, float]],
+    changepoints: Sequence[dict],
+    net_key: str,
+    points_attr: str,
+) -> str:
+    """One trajectory sparkline: ``values`` — ``(point index, value)``
+    pairs, points without the metric already skipped — left to right,
+    scaled to the data range, with a dot on every changepoint (red for
+    a regression step, green for an improvement)."""
+    positions = {index: pos for pos, (index, _) in enumerate(values)}
+    series = [value for _, value in values]
     width, height, top = 150.0, 40.0, 5.0
-    low, high = min(medians), max(medians)
+    low, high = min(series), max(series)
     span = (high - low) or 1.0
     xs = (
-        [width / 2] if len(medians) == 1
-        else [i * width / (len(medians) - 1) for i in range(len(medians))]
+        [width / 2] if len(series) == 1
+        else [i * width / (len(series) - 1) for i in range(len(series))]
     )
 
     def y_of(value: float) -> float:
@@ -600,88 +607,32 @@ def _spark_figure(entry: dict) -> str:
 
     parts = [f'<line class="axis" x1="0" y1="{top + height:g}" '
              f'x2="{width:g}" y2="{top + height:g}" />']
-    if len(medians) > 1:
+    if len(series) > 1:
         coords = " ".join(
-            f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, medians)
+            f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, series)
         )
         parts.append(f'<polyline class="spark" points="{coords}" />')
-    for cp in entry["changepoints"]:
-        index = cp["index"]
-        parts.append(
-            f'<circle class="changepoint {cp["direction"]}" '
-            f'cx="{xs[index]:.2f}" cy="{y_of(medians[index]):.2f}" '
-            f'r="2.5" />'
-        )
-    net = entry.get("net_delta_pct")
-    svg = _tag(
-        "svg", "".join(parts),
-        viewBox=f"0 0 {width:g} {height + 2 * top:g}",
-        width="150", height="50",
-        data_scenario=entry["scenario"],
-        data_env=entry["env"],
-        data_points=len(points),
-        data_changepoints=len(entry["changepoints"]),
-    )
-    caption = (
-        f'{_esc(entry["scenario"])} · {len(points)} runs · '
-        f'net {_esc(None if net is None else f"{net:+.1f}%")}'
-    )
-    return _tag(
-        "figure", svg + f"<figcaption>{caption}</figcaption>", **{
-            "class": "curve",
-        }
-    )
-
-
-def _memory_spark_figure(entry: dict) -> str:
-    """One memory-trajectory sparkline: the series' median allocation
-    peaks (points without memory telemetry skipped), memory
-    changepoints dotted like the time trend."""
-    indexed = [
-        (index, p) for index, p in enumerate(entry["points"])
-        if p.get("alloc_median_bytes") is not None
-    ]
-    positions = {index: pos for pos, (index, _) in enumerate(indexed)}
-    values = [p["alloc_median_bytes"] for _, p in indexed]
-    width, height, top = 150.0, 40.0, 5.0
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    xs = (
-        [width / 2] if len(values) == 1
-        else [i * width / (len(values) - 1) for i in range(len(values))]
-    )
-
-    def y_of(value: float) -> float:
-        return top + height - (value - low) / span * height
-
-    parts = [f'<line class="axis" x1="0" y1="{top + height:g}" '
-             f'x2="{width:g}" y2="{top + height:g}" />']
-    if len(values) > 1:
-        coords = " ".join(
-            f"{x:.2f},{y_of(v):.2f}" for x, v in zip(xs, values)
-        )
-        parts.append(f'<polyline class="spark" points="{coords}" />')
-    for cp in entry.get("memory_changepoints", []):
+    for cp in changepoints:
         pos = positions.get(cp["index"])
         if pos is None:
             continue
         parts.append(
             f'<circle class="changepoint {cp["direction"]}" '
-            f'cx="{xs[pos]:.2f}" cy="{y_of(values[pos]):.2f}" '
+            f'cx="{xs[pos]:.2f}" cy="{y_of(series[pos]):.2f}" '
             f'r="2.5" />'
         )
-    net = entry.get("net_memory_delta_pct")
+    net = entry.get(net_key)
     svg = _tag(
         "svg", "".join(parts),
         viewBox=f"0 0 {width:g} {height + 2 * top:g}",
         width="150", height="50",
         data_scenario=entry["scenario"],
         data_env=entry["env"],
-        data_memory_points=len(values),
-        data_changepoints=len(entry.get("memory_changepoints", [])),
+        **{points_attr: len(series)},
+        data_changepoints=len(changepoints),
     )
     caption = (
-        f'{_esc(entry["scenario"])} · {len(values)} runs · '
+        f'{_esc(entry["scenario"])} · {len(series)} runs · '
         f'net {_esc(None if net is None else f"{net:+.1f}%")}'
     )
     return _tag(
@@ -718,9 +669,14 @@ def _trend_section(trend: dict) -> str:
         "mark changepoints (median shift beyond the noise envelope and "
         f'±{_fmt(trend["threshold_pct"])}%): red regression, green '
         "improvement.</p>",
-        _tag("div", "".join(_spark_figure(e) for e in series), **{
-            "class": "curves",
-        }),
+        _tag("div", "".join(
+            _spark_figure(
+                e,
+                [(i, p["median_seconds"]) for i, p in enumerate(e["points"])],
+                e["changepoints"], "net_delta_pct", "data_points",
+            )
+            for e in series
+        ), **{"class": "curves"}),
     ]
     cp_rows = [
         (entry["scenario"], cp["created_utc"],
@@ -746,11 +702,20 @@ def _trend_section(trend: dict) -> str:
             "memory changepoints under the same noise + threshold "
             "rule, in bytes.</p>"
         )
-        sections.append(_tag(
-            "div",
-            "".join(_memory_spark_figure(e) for e in with_memory),
-            **{"class": "curves"},
-        ))
+        # Points without memory telemetry are skipped, not zeroed.
+        sections.append(_tag("div", "".join(
+            _spark_figure(
+                e,
+                [
+                    (i, p["alloc_median_bytes"])
+                    for i, p in enumerate(e["points"])
+                    if p.get("alloc_median_bytes") is not None
+                ],
+                e.get("memory_changepoints", []), "net_memory_delta_pct",
+                "data_memory_points",
+            )
+            for e in with_memory
+        ), **{"class": "curves"}))
         mem_cp_rows = [
             (entry["scenario"], cp["created_utc"],
              (cp.get("git_sha") or "")[:12], cp["direction"],

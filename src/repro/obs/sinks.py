@@ -44,27 +44,33 @@ from repro.obs.trace import Span, TRACE_SCHEMA, span_event
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` finished *root* spans."""
+    """Keeps the most recent ``capacity`` items behind a lock.
+
+    As a tracer sink it keeps finished *root* spans only (:meth:`emit`,
+    read back as :attr:`roots`); the event log's
+    :class:`~repro.obs.events.EventBuffer` is the same buffer fed every
+    record through :meth:`write`."""
 
     def __init__(self, capacity: int = 64) -> None:
-        self._roots: collections.deque[Span] = collections.deque(
-            maxlen=capacity
-        )
+        self._items: collections.deque = collections.deque(maxlen=capacity)
         self._lock = threading.Lock()
+
+    def write(self, item) -> None:
+        with self._lock:
+            self._items.append(item)
 
     def emit(self, span: Span) -> None:
         if span.parent is None:
-            with self._lock:
-                self._roots.append(span)
+            self.write(span)
 
     @property
-    def roots(self) -> list[Span]:
+    def roots(self) -> list:
         with self._lock:
-            return list(self._roots)
+            return list(self._items)
 
     def clear(self) -> None:
         with self._lock:
-            self._roots.clear()
+            self._items.clear()
 
 
 class CollectingSink:

@@ -57,8 +57,11 @@ class TestInflightAccounting:
             assert not held.server.drain(timeout=0.1)  # still held
             held.release.set()
             client_thread.join(timeout=5)
-            assert held.server.inflight() == 0
+            # The client can read the response before the handler thread
+            # leaves its accounting block, so wait for the window to close
+            # before reading the count.
             assert held.server.drain(timeout=1.0)
+            assert held.server.inflight() == 0
             assert responses and responses[0]["ok"]
         finally:
             held.stop()

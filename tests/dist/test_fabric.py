@@ -97,6 +97,18 @@ class TestCompositeSites:
         assert all(c > 0 for c in counts)
         assert experiment.total_steps() == sum(counts)
 
+    @pytest.mark.parametrize("app, counts", [
+        ("herman_bit", [109, 110, 110, 110, 109]),
+        ("herman_pass", [114, 116, 112, 113, 113]),
+        ("dijkstra_ring", [180, 156, 156, 156, 156]),
+        ("gradient_field", [110, 120, 120, 120, 120, 120, 120, 120, 120]),
+        ("gradient_channel", [432, 420, 420, 420, 432, 411, 410]),
+    ])
+    def test_per_node_site_counts_are_pinned(self, app, counts):
+        # Composite site numbering depends on these counts: a shift
+        # renumbers every site and silently changes campaign trials.
+        assert dist_app_experiment(app).node_site_counts() == counts
+
     def test_site_location_round_trips(self):
         experiment = dist_app_experiment("gradient_channel")
         total = experiment.total_steps()
