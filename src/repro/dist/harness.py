@@ -1,8 +1,11 @@
 """The distributed node harness and message-passing fabric.
 
 N independent sjava program instances — one per fabric node — executed
-by the *unchanged* single-node backends (tree-walking interpreter or the
-closure compiler).  Each activation runs one node's program for exactly
+by the *unchanged* single-node backends (the closure compiler by
+default, or the tree-walking interpreter).  An experiment builds one
+engine, compiled once, and resets it for every activation: nodes share
+no state, because a node's state lives only in the fabric.  Each
+activation runs one node's program for exactly
 one event-loop iteration on an :class:`IterationKeyedDevice` whose
 generator exposes that node's view of the fabric (own state, neighbor
 states, coins, role flags, protocol parameters); the values the program
@@ -19,6 +22,14 @@ in schedule order.  :class:`DistExperiment` mirrors the
 ``repro.runtime.campaign`` sweep distributed apps with no new worker
 protocol.
 
+Trials are checkpointed at round boundaries on the compiled engine: a
+round's fabric state is its committed state list, so a trial starts
+from the reference's states before the round holding its target site,
+and stops at the first round after the fault where the states equal the
+reference's — coins and schedules are pure functions of the round, so
+the rest of the run is the reference's.  With ``engine=Interpreter``
+every trial simulates the whole horizon.
+
 Verdicts are decided against a per-app *legitimacy predicate* (a closed
 set of states) rather than exact reference-trajectory matching, because
 randomized protocols (Herman) recover to the legitimate set, not to the
@@ -30,17 +41,20 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.lang.symtab import ProgramInfo
 from repro.obs.context import instruments
+from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import (
     Interpreter,
     RuntimeOptions,
     StepBudgetExceeded,
+    reused,
     state_digest,
 )
 from repro.runtime.stabilization import InjectionTrial
@@ -84,7 +98,7 @@ class NodeView:
 class _RoundInjector:
     """Adapts an :class:`ErrorInjector` to the fabric's round clock.
 
-    Every activation is iteration 0 of a fresh engine run, so the
+    Every activation is iteration 0 of a freshly reset engine, so the
     interpreter's own ``begin_iteration(0)`` calls are dropped and the
     fabric advances the inner injector's clock once per round —
     ``injection_iteration`` then records the fabric *round*.
@@ -92,8 +106,11 @@ class _RoundInjector:
 
     def __init__(self, inner: ErrorInjector) -> None:
         self.inner = inner
+        #: The round in progress (None before the first).
+        self.round: Optional[int] = None
 
     def begin_round(self, round_index: int) -> None:
+        self.round = round_index
         self.inner.begin_iteration(round_index)
 
     def begin_iteration(self, iteration: int) -> None:  # noqa: ARG002
@@ -111,6 +128,9 @@ class SimResult:
     trajectory: list[tuple[tuple, ...]]
     steps: int
     errors: int
+    #: Steps and errors accumulated by the end of each simulated round.
+    round_steps: list[int] = field(default_factory=list)
+    round_errors: list[int] = field(default_factory=list)
 
     def node_trace(self, node: int) -> list[tuple]:
         return [states[node] for states in self.trajectory]
@@ -159,12 +179,22 @@ class DistExperiment:
     scheduler: Scheduler
     rounds: int
     recovery_window: int
-    engine: type = Interpreter
+    engine: type = CompiledRunner
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
     seed: int = 0
-    _reference: Optional[SimResult] = field(default=None, repr=False)
-    _site_counts: Optional[list[int]] = None
+    # Caches, never copied by dataclasses.replace (see
+    # StabilizationExperiment).  ``_site_marks[r][i]`` is node ``i``'s
+    # injectable sites executed before round ``r`` of the reference.
+    _reference: Optional[SimResult] = field(
+        default=None, init=False, repr=False
+    )
+    _site_marks: Optional[list[tuple[int, ...]]] = field(
+        default=None, init=False, repr=False
+    )
+    _runner: Optional[Interpreter] = field(
+        default=None, init=False, repr=False
+    )
 
     # -- fabric simulation ------------------------------------------------
 
@@ -206,11 +236,11 @@ class DistExperiment:
         def generator(name: str, iteration: int, index: int) -> object:
             return read(view, name, index)
 
-        engine = self.engine(
-            self.info,
+        engine = self._runner = reused(
+            self._runner, self.engine, self.info,
             IterationKeyedDevice(generator, iterations=1),
-            options=RuntimeOptions(ignore_errors=True, step_budget=budget),
-            injector=injector,
+            RuntimeOptions(ignore_errors=True, step_budget=budget),
+            injector,
         )
         engine.run()
         width = self.spec.state_width
@@ -232,12 +262,15 @@ class DistExperiment:
         injectors: Optional[dict[int, _RoundInjector]] = None,
         step_budget: Optional[int] = None,
         start_round: int = 0,
+        until: Optional[Callable[[int, tuple], bool]] = None,
     ) -> SimResult:
         """Run the fabric for ``rounds`` rounds.  ``injectors`` maps a
         node to the injector attached to that node's activations; each
         is a :class:`_RoundInjector` so its iteration clock tracks
-        fabric rounds.  Raises :class:`StepBudgetExceeded` when the
-        cumulative step budget runs out."""
+        fabric rounds.  ``until(round, states)``, called after each
+        round, ends the simulation early by returning true.  Raises
+        :class:`StepBudgetExceeded` when the cumulative step budget runs
+        out."""
         injectors = injectors or {}
         topo = self.topology
         states: list[tuple] = list(
@@ -245,7 +278,7 @@ class DistExperiment:
             if initial is not None
             else [self.spec.init(i, topo) for i in range(topo.nodes)]
         )
-        trajectory: list[tuple[tuple, ...]] = []
+        result = SimResult(trajectory=[], steps=0, errors=0)
         steps = 0
         errors = 0
         for r in range(start_round, start_round + rounds):
@@ -270,14 +303,36 @@ class DistExperiment:
             if self.scheduler.synchronous:
                 for node, new_state in staged.items():
                     states[node] = new_state
-            trajectory.append(tuple(states))
-        return SimResult(trajectory=trajectory, steps=steps, errors=errors)
+            committed = tuple(states)
+            result.trajectory.append(committed)
+            result.round_steps.append(steps)
+            result.round_errors.append(errors)
+            if until is not None and until(r, committed):
+                break
+        result.steps, result.errors = steps, errors
+        return result
 
     # -- reference + site bookkeeping ------------------------------------
 
     def reference(self) -> SimResult:
+        """The one clean simulation of the horizon; a :class:`StepCounter`
+        per node rides along to count injectable sites per round."""
         if self._reference is None:
-            self._reference = self.simulate(self.horizon())
+            counters = [
+                _RoundInjector(StepCounter()) for _ in range(self.nodes)
+            ]
+            marks = [tuple(0 for _ in counters)]
+
+            def count_sites(round_index: int, states: tuple) -> bool:
+                marks.append(tuple(c.inner.step for c in counters))
+                return False
+
+            self._reference = self.simulate(
+                self.horizon(),
+                injectors=dict(enumerate(counters)),
+                until=count_sites,
+            )
+            self._site_marks = marks
         return self._reference
 
     def reference_steps(self) -> int:
@@ -285,14 +340,8 @@ class DistExperiment:
 
     def node_site_counts(self) -> list[int]:
         """Injectable sites per node across the injection horizon."""
-        if self._site_counts is None:
-            counters = [StepCounter() for _ in range(self.nodes)]
-            self.simulate(self.rounds, injectors={
-                node: _RoundInjector(counter)
-                for node, counter in enumerate(counters)
-            })
-            self._site_counts = [c.step for c in counters]
-        return self._site_counts
+        self.reference()
+        return list(self._site_marks[self.rounds])
 
     def total_steps(self) -> int:
         """Composite injectable sites: sum over nodes of per-node sites."""
@@ -345,13 +394,92 @@ class DistExperiment:
             seed=seed,
             burst=burst,
         ) as span:
-            trial = self._trial_at(node, local, target_step, seed, burst)
+            trial = self._trial_at(
+                node, local, target_step, seed, burst, span
+            )
             span.set_attr("timed_out", trial.timed_out)
             span.set_attr("diverged", trial.diverged)
         return trial
 
+    def _checkpointed(self) -> bool:
+        """Trials resume at round boundaries on the compiled engine only;
+        ``engine=Interpreter`` simulates every trial whole."""
+        return issubclass(self.engine, CompiledRunner)
+
+    def _start_round(self, node: int, inner: ErrorInjector) -> int:
+        """The round a trial starts from: the last one whose start is at
+        or before the target's local step (0 when trials run whole).
+        Presets the injector's step to the node's sites before it."""
+        if not self._checkpointed():
+            return 0
+        self.reference()
+        column = [marks[node] for marks in self._site_marks]
+        start = max(0, bisect_right(column, inner.target_step) - 1)
+        inner.step = column[start]
+        return start
+
+    def _simulate_trial(
+        self, node: int, injector: _RoundInjector, start: int
+    ) -> SimResult:
+        """The injected simulation of the whole horizon, as a full run
+        would produce it.  A checkpointed trial starts at round
+        ``start`` from the reference's states and stops after the first
+        round past the burst whose states equal the reference's; the
+        rounds before and after come from the reference."""
+        budget = self._trial_budget()
+        if not self._checkpointed():
+            return self.simulate(
+                self.horizon(), injectors={node: injector},
+                step_budget=budget,
+            )
+        reference = self.reference()
+        inner = injector.inner
+        spent = inner.target_step + inner.burst
+        steps_before = reference.round_steps[start - 1] if start else 0
+        errors_before = reference.round_errors[start - 1] if start else 0
+
+        def rejoined(round_index: int, states: tuple) -> bool:
+            return (
+                inner.step >= spent
+                and states == reference.trajectory[round_index]
+            )
+
+        sim = self.simulate(
+            self.horizon() - start,
+            initial=reference.trajectory[start - 1] if start else None,
+            injectors={node: injector},
+            step_budget=(
+                budget - steps_before if budget is not None else None
+            ),
+            start_round=start,
+            until=rejoined,
+        )
+        end = start + len(sim.trajectory)
+        steps = (
+            steps_before + sim.steps
+            + reference.steps - reference.round_steps[end - 1]
+        )
+        if budget is not None and steps > budget:
+            # Steps only grow: the full run tripped the watchdog in the
+            # reference's tail.
+            raise StepBudgetExceeded(
+                f"step budget of {budget} execution steps exhausted"
+            )
+        return SimResult(
+            trajectory=(
+                reference.trajectory[:start] + sim.trajectory
+                + reference.trajectory[end:]
+            ),
+            steps=steps,
+            errors=(
+                errors_before + sim.errors
+                + reference.errors - reference.round_errors[end - 1]
+            ),
+        )
+
     def _trial_at(
-        self, node: int, local: int, target_step: int, seed: int, burst: int
+        self, node: int, local: int, target_step: int, seed: int,
+        burst: int, span,
     ) -> InjectionTrial:
         events = instruments().event_log
         if local >= self.node_site_counts()[node]:
@@ -374,13 +502,11 @@ class DistExperiment:
             )
         inner = ErrorInjector(target_step=local, seed=seed + 1, burst=burst)
         injector = _RoundInjector(inner)
+        start = self._start_round(node, inner)
         try:
-            sim = self.simulate(
-                self.horizon(),
-                injectors={node: injector},
-                step_budget=self._trial_budget(),
-            )
+            sim = self._simulate_trial(node, injector, start)
         except StepBudgetExceeded:
+            span.count("iterations", injector.round - start + 1)
             events.emit(
                 "trial.timeout",
                 "step-budget watchdog stopped a runaway injected fabric",
@@ -399,6 +525,7 @@ class DistExperiment:
                 timed_out=True,
                 node=node,
             )
+        span.count("iterations", injector.round - start + 1)
         injection_round = inner.injection_iteration
         if injection_round is None:
             events.emit(

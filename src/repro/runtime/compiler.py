@@ -12,6 +12,12 @@ suite verifies output equality differentially on every benchmark.
 
 Typical speedup over the tree-walking interpreter: 2–4× (see
 ``benchmarks/test_backend_comparison.py``).
+
+One runner serves many runs: :meth:`Interpreter.reset` readies it for
+the next, keeping what it compiled.  A run can also continue from an
+event-loop iteration boundary (:meth:`CompiledRunner.resume`), which is
+what checkpointed injection trials (:mod:`repro.runtime.checkpoint`)
+build on.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ class CompiledRunner(Interpreter):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._compiled: dict[tuple[str, str], StmtFn] = {}
+        self._resume_steps: Optional[list[StmtFn]] = None
+        #: Called with the event-loop frame at the top of every pass of
+        #: the event loop, before its condition is charged and evaluated
+        #: (an iteration boundary); checkpointed trials take and compare
+        #: snapshots here.  It survives :meth:`reset`.
+        self.boundary: Optional[Callable[[_Frame], None]] = None
 
     # -- overridden execution entry points ---------------------------------
 
@@ -66,6 +78,37 @@ class CompiledRunner(Interpreter):
             body(frame)
         except _ReturnSignal as signal:
             return signal.value
+        return None
+
+    def resumable(self) -> bool:
+        """True when the event loop is a top-level statement of its
+        method, so a run can continue from a frame saved at one of its
+        iteration boundaries (see :meth:`resume`)."""
+        return self._loop_index() is not None
+
+    def resume(self, frame: _Frame) -> None:
+        """Continue a run from an iteration boundary: the event loop on
+        the restored ``frame``, then the statements after it.  The
+        engine's own state (iteration, statics, sink, device) must have
+        been restored first."""
+        if self._resume_steps is None:
+            stmts = self.info.event_loop.method.body.stmts
+            self._resume_steps = [
+                self.compile_stmt(stmt) for stmt in stmts[self._loop_index():]
+            ]
+        try:
+            for step in self._resume_steps:
+                step(frame)
+        except _ReturnSignal:
+            pass
+
+    def _loop_index(self) -> Optional[int]:
+        loop = self.info.event_loop
+        if loop is None:
+            return None
+        for index, stmt in enumerate(loop.method.body.stmts):
+            if stmt is loop.loop:
+                return index
         return None
 
     def _compiled_body(self, owner: str, decl: ast.MethodDecl) -> StmtFn:
@@ -229,6 +272,8 @@ class CompiledRunner(Interpreter):
                 self.device, "begin_iteration", None
             )
             while self.iteration < self.options.max_iterations:
+                if self.boundary is not None:
+                    self.boundary(frame)
                 charge()
                 if not cond(frame):
                     break
@@ -256,11 +301,14 @@ class CompiledRunner(Interpreter):
     def _compile_while(self, stmt: ast.While) -> StmtFn:
         cond = self.compile_expr(stmt.cond)
         body = self.compile_stmt(stmt.body)
-        bound = self._loop_bound(stmt.annotations)
+        # Looked up per loop run: a reset may change the options.
+        loop_bound = self._loop_bound
+        annotations = stmt.annotations
         exceed = self._exceed_bound
         charge = self._charge
 
         def run_while(frame: _Frame) -> None:
+            bound = loop_bound(annotations)
             count = 0
             while cond(frame):
                 charge()
@@ -282,11 +330,14 @@ class CompiledRunner(Interpreter):
         cond = self.compile_expr(stmt.cond) if stmt.cond is not None else None
         update = self.compile_stmt(stmt.update) if stmt.update is not None else None
         body = self.compile_stmt(stmt.body)
-        bound = self._loop_bound(stmt.annotations)
+        # Looked up per loop run: a reset may change the options.
+        loop_bound = self._loop_bound
+        annotations = stmt.annotations
         exceed = self._exceed_bound
         charge = self._charge
 
         def run_for(frame: _Frame) -> None:
+            bound = loop_bound(annotations)
             if init is not None:
                 init(frame)
             count = 0
@@ -430,6 +481,12 @@ class CompiledRunner(Interpreter):
         if op in ("+", "-", "*", "/", "%"):
             binary = self._binary_op
             inject = self._inject
+            # ``-`` and ``*`` need none of _binary_op's special cases
+            # (string concatenation, division by zero, Java rounding).
+            if op == "-":
+                return lambda frame: inject(left(frame) - right(frame), expr)
+            if op == "*":
+                return lambda frame: inject(left(frame) * right(frame), expr)
 
             def run_arith(frame: _Frame) -> object:
                 return inject(binary(op, left(frame), right(frame), expr), expr)
@@ -490,8 +547,8 @@ class CompiledRunner(Interpreter):
         name = target.sig.name
         args = [self.compile_expr(arg) for arg in call.args]
         if namespace == "Device":
-            read = self.device.read
-            return lambda frame: read(name)
+            # Late-bound: a reset gives the engine a fresh device.
+            return lambda frame: self.device.read(name)
         if namespace == "SJ":
             if target.sig.kind == "output":
                 emit = self.sink.emit
@@ -595,14 +652,13 @@ class CompiledRunner(Interpreter):
             return run_implicit
         receiver = self.compile_expr(call.receiver)
         null_error = self._null_error
-        ignore = self.options.ignore_errors
         instantiate = self.instantiate
 
         def run_call(frame: _Frame) -> object:
             obj = receiver(frame)
             if obj is None:
                 null_error(f"call of {method_name!r} on null receiver", call)
-                if not ignore:
+                if not self.options.ignore_errors:
                     return None
                 obj = instantiate(receiver_class)
             return call_method(

@@ -132,6 +132,15 @@ class IterationKeyedDevice(DeviceBus):
         self.iteration = iteration
         self._index_in_iteration.clear()
 
+    def state(self) -> tuple:
+        """Everything later reads depend on, in a comparable form (the
+        ``reads`` meter is not part of it)."""
+        return self.iteration, tuple(sorted(self._index_in_iteration.items()))
+
+    def restore(self, state: tuple) -> None:
+        self.iteration, indices = state
+        self._index_in_iteration = dict(indices)
+
     def read(self, name: str) -> object:
         if self.iteration >= self.iterations:
             raise InputExhausted("input stream complete")

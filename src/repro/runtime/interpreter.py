@@ -105,10 +105,24 @@ class Interpreter:
         injector: Optional[object] = None,
     ) -> None:
         self.info = info
+        self.sink = OutputSink()
+        self.reset(device, options, injector)
+
+    def reset(
+        self,
+        device: DeviceBus,
+        options: Optional[RuntimeOptions] = None,
+        injector: Optional[object] = None,
+    ) -> None:
+        """Forget every trace of the last run, so one engine (and, for
+        the compiled runner, one compilation) serves many runs.  The
+        sink object is kept — compiled code holds its ``emit`` — but
+        every collection is replaced rather than cleared, so the results
+        of an earlier run stay valid for whoever kept them."""
         self.device = device
         self.options = options or RuntimeOptions()
         self.injector = injector
-        self.sink = OutputSink()
+        self.sink.values = []
         self.error_log: list[str] = []
         self.iteration = 0
         #: Executed steps, charged by :meth:`_charge` (the watchdog meter).
@@ -665,6 +679,23 @@ class Interpreter:
     @staticmethod
     def _truthy(value: object) -> bool:
         return bool(value)
+
+
+def reused(
+    engine: Optional[Interpreter],
+    kind: type,
+    info: ProgramInfo,
+    device: DeviceBus,
+    options: Optional[RuntimeOptions] = None,
+    injector: Optional[object] = None,
+) -> Interpreter:
+    """``engine`` reset for a new run, or a new ``kind`` engine when
+    ``engine`` is not one: experiments keep one engine (for the compiled
+    runner, one compilation) for all their runs."""
+    if type(engine) is not kind:
+        return kind(info, device, options=options, injector=injector)
+    engine.reset(device, options, injector)
+    return engine
 
 
 def _both_refs(left: object, right: object) -> bool:

@@ -15,18 +15,28 @@ and a corrupted iteration cannot shift the framing of later ones.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.lang.symtab import ProgramInfo
 from repro.obs.context import instruments
+from repro.runtime.checkpoint import (
+    Rejoined,
+    Snapshot,
+    capture,
+    encode,
+    restore,
+)
 from repro.runtime.compiler import CompiledRunner
-from repro.runtime.devices import DeviceBus
+from repro.runtime.devices import DeviceBus, IterationKeyedDevice
 from repro.runtime.injection import ErrorInjector, StepCounter
 from repro.runtime.interpreter import (
     Interpreter,
     RuntimeOptions,
     StepBudgetExceeded,
+    _Frame,
+    reused,
 )
 
 DeviceFactory = Callable[[], DeviceBus]
@@ -148,8 +158,58 @@ def convergence_series(
 
 
 @dataclass
+class ReferenceRun:
+    """An experiment's one clean run: its outputs and meters, and — when
+    trials can resume — a snapshot at every iteration boundary."""
+
+    groups: list[list[object]]
+    steps: int
+    #: Injectable sites executed (the uniform-target space of trials).
+    sites: int
+    outputs: list[object]
+    marks: list[int]
+    error_log: list[str]
+    #: ``snapshots[i]`` is the engine at the top of event-loop pass
+    #: ``i``; None when trials run whole (see
+    #: :meth:`StabilizationExperiment._checkpointed`).
+    snapshots: Optional[list[Snapshot]]
+
+    def __post_init__(self) -> None:
+        self.sites_at = [s.sites for s in self.snapshots or ()]
+
+
+class _UntilSpent:
+    """Feeds an engine's sites to ``inner`` until its burst is spent,
+    then takes itself off the engine: the rest of a checkpointed run
+    pays no injection hook, and ``engine.injector is None`` tells the
+    boundary check that the fault is in."""
+
+    def __init__(self, engine: Interpreter, inner: ErrorInjector) -> None:
+        self.engine = engine
+        self.inner = inner
+        self.last = inner.target_step + inner.burst - 1
+
+    def begin_iteration(self, iteration: int) -> None:
+        self.inner.begin_iteration(iteration)
+
+    def site(self, value: object, node: object) -> object:
+        if self.inner.step >= self.last:
+            self.engine.injector = None
+        return self.inner.site(value, node)
+
+
+@dataclass
 class StabilizationExperiment:
-    """Orchestrates reference + injected runs of one program."""
+    """Orchestrates reference + injected runs of one program.
+
+    Injected runs are *checkpointed* on the compiled engine: a trial
+    starts from the reference's snapshot just before its target site and
+    stops at the first boundary after the fault where its state equals
+    the reference's, filling in the rest from the reference (see
+    :mod:`repro.runtime.checkpoint` and DESIGN.md).  With
+    ``engine=Interpreter`` every trial runs the whole program — the
+    independent oracle the checkpointed path is tested against.
+    """
 
     info: ProgramInfo
     device_factory: DeviceFactory
@@ -166,43 +226,86 @@ class StabilizationExperiment:
     #: neither, injected runs are unbudgeted (the historical behavior).
     step_budget: Optional[int] = None
     step_budget_factor: Optional[int] = None
-    _reference_groups: Optional[list[list[object]]] = None
-    _reference_steps: Optional[int] = None
-    _total_steps: Optional[int] = None
+    # Caches, never copied by dataclasses.replace: a replaced experiment
+    # (another engine, say) computes its own reference.
+    _reference: Optional[ReferenceRun] = field(
+        default=None, init=False, repr=False
+    )
+    _runner: Optional[Interpreter] = field(
+        default=None, init=False, repr=False
+    )
+
+    def _engine(
+        self,
+        injector: Optional[object],
+        options: Optional[RuntimeOptions] = None,
+    ) -> Interpreter:
+        """The experiment's one engine (compiled once), reset for a run
+        on a fresh device."""
+        self._runner = reused(
+            self._runner, self.engine, self.info, self.device_factory(),
+            options if options is not None else self.options, injector,
+        )
+        return self._runner
 
     def _run(
         self,
         injector: Optional[object],
         options: Optional[RuntimeOptions] = None,
     ) -> Interpreter:
-        interpreter = self.engine(
-            self.info, self.device_factory(),
-            options=options if options is not None else self.options,
-            injector=injector,
-        )
+        interpreter = self._engine(injector, options)
         interpreter.run()
         return interpreter
 
+    def _checkpointed(self, engine: Interpreter) -> bool:
+        """Trials resume from snapshots only on the compiled engine, with
+        inputs keyed by iteration and an event loop at the top level of
+        its method."""
+        return (
+            isinstance(engine, CompiledRunner)
+            and isinstance(engine.device, IterationKeyedDevice)
+            and engine.resumable()
+        )
+
+    def _reference_run(self) -> ReferenceRun:
+        """The one clean run: outputs, steps and injectable sites (a
+        :class:`StepCounter` rides along without changing a value), plus
+        the boundary snapshots."""
+        if self._reference is None:
+            counter = StepCounter()
+            engine = self._engine(counter)
+            snapshots: Optional[list[Snapshot]] = None
+            if self._checkpointed(engine):
+                snapshots = []
+                engine.boundary = lambda frame: snapshots.append(
+                    capture(engine, frame, counter.step)
+                )
+            try:
+                engine.run()
+            finally:
+                if snapshots is not None:
+                    engine.boundary = None
+            self._reference = ReferenceRun(
+                groups=engine.outputs_by_iteration(),
+                steps=engine.steps,
+                sites=counter.step,
+                outputs=engine.sink.values,
+                marks=engine.iteration_marks,
+                error_log=engine.error_log,
+                snapshots=snapshots,
+            )
+        return self._reference
+
     def reference_groups(self) -> list[list[object]]:
-        if self._reference_groups is None:
-            interpreter = self._run(None)
-            self._reference_groups = interpreter.outputs_by_iteration()
-            self._reference_steps = interpreter.steps
-        return self._reference_groups
+        return self._reference_run().groups
 
     def reference_steps(self) -> int:
         """Execution steps of the clean run (the watchdog baseline)."""
-        self.reference_groups()
-        assert self._reference_steps is not None
-        return self._reference_steps
+        return self._reference_run().steps
 
     def total_steps(self) -> int:
         """Number of injectable sites in a clean run."""
-        if self._total_steps is None:
-            counter = StepCounter()
-            self._run(counter)
-            self._total_steps = counter.step
-        return self._total_steps
+        return self._reference_run().sites
 
     def _trial_budget(self) -> Optional[int]:
         if self.step_budget is not None:
@@ -231,6 +334,78 @@ class StabilizationExperiment:
             span.set_attr("diverged", trial.diverged)
         return trial
 
+    def _restore(
+        self, engine: Interpreter, injector: ErrorInjector,
+        reference: ReferenceRun,
+    ) -> Optional[_Frame]:
+        """Put ``engine`` at the last boundary before the target site;
+        the frame to resume, or None to run from the start."""
+        if reference.snapshots is None:
+            return None
+        index = bisect_right(reference.sites_at, injector.target_step) - 1
+        if index < 0:
+            return None
+        snapshot = reference.snapshots[index]
+        injector.step = snapshot.sites
+        # Where a full run's injector clock stands at this boundary.
+        injector.begin_iteration(max(index - 1, 0))
+        return restore(
+            engine, snapshot,
+            reference.outputs, reference.error_log, reference.marks,
+        )
+
+    def _execute(
+        self, engine: Interpreter, injector: ErrorInjector,
+        reference: ReferenceRun, frame: Optional[_Frame],
+    ) -> tuple[list[list[object]], int, int]:
+        """Run the injected program; its full-run ``(output groups,
+        steps, error-log size)``.  A checkpointed run stops at the first
+        boundary after the burst where its state equals the reference's
+        and takes the rest of the run from the reference."""
+        snapshots = reference.snapshots
+        if snapshots is not None:
+            engine.injector = _UntilSpent(engine, injector)
+
+            def boundary(frame: _Frame) -> None:
+                index = engine.iteration
+                if (
+                    engine.injector is None  # the burst is spent
+                    and index < len(snapshots)
+                    and encode(engine, frame) == snapshots[index].state
+                ):
+                    raise Rejoined()
+
+            engine.boundary = boundary
+        try:
+            if frame is None:
+                engine.run()
+            else:
+                engine.resume(frame)
+        except Rejoined:
+            index = engine.iteration
+            snapshot = snapshots[index]
+            steps = engine.steps + reference.steps - snapshot.steps
+            budget = engine.options.step_budget
+            if budget is not None and steps > budget:
+                # Steps only grow: the full run tripped the watchdog in
+                # the reference's tail.
+                raise StepBudgetExceeded(
+                    f"step budget of {budget} execution steps exhausted"
+                ) from None
+            return (
+                engine.outputs_by_iteration() + reference.groups[index:],
+                steps,
+                len(engine.error_log) + len(reference.error_log)
+                - snapshot.errors,
+            )
+        finally:
+            if snapshots is not None:
+                engine.boundary = None
+        return (
+            engine.outputs_by_iteration(), engine.steps,
+            len(engine.error_log),
+        )
+
     def _trial_at(
         self, target_step: int, seed: int, burst: int, span
     ) -> InjectionTrial:
@@ -243,12 +418,19 @@ class StabilizationExperiment:
             if budget is not None else self.options
         )
         events = instruments().event_log
+        reference = self._reference_run()
+        engine = self._engine(injector, options)
+        frame = self._restore(engine, injector, reference)
+        start = engine.iteration
         try:
-            interpreter = self._run(injector, options)
+            faulty_groups, steps, errors = self._execute(
+                engine, injector, reference, frame
+            )
         except StepBudgetExceeded:
             # The corrupted run never finished: a runaway loop or
             # explosion of work.  Recorded as a timeout, never a hang.
             span.count("steps", budget or 0)
+            span.count("iterations", engine.iteration - start)
             events.emit(
                 "trial.timeout",
                 "step-budget watchdog stopped a runaway injected run",
@@ -266,10 +448,10 @@ class StabilizationExperiment:
                 recovery_iterations=None,
                 timed_out=True,
             )
-        span.count("steps", interpreter.steps)
-        span.count("ignored_errors", len(interpreter.error_log))
-        faulty_groups = interpreter.outputs_by_iteration()
-        reference = self.reference_groups()
+        span.count("steps", steps)
+        span.count("ignored_errors", errors)
+        span.count("iterations", engine.iteration - start)
+        reference_groups = reference.groups
         injection_iteration = injector.injection_iteration
         if injection_iteration is None:
             # The injector replaced a value with an equal one or never hit
@@ -284,7 +466,7 @@ class StabilizationExperiment:
                 corrupted_output=False,
                 recovery_samples=None,
                 recovery_iterations=None,
-                error_log_size=len(interpreter.error_log),
+                error_log_size=errors,
             )
         events.emit(
             "trial.corrupted",
@@ -295,11 +477,13 @@ class StabilizationExperiment:
             iteration=injection_iteration,
         )
         samples, iterations, diverged = recovery_distance(
-            reference, faulty_groups, injection_iteration
+            reference_groups, faulty_groups, injection_iteration
         )
-        divergence = divergence_series(reference, faulty_groups)
+        divergence = divergence_series(reference_groups, faulty_groups)
         convergence = (
-            convergence_series(reference, injection_iteration, iterations)
+            convergence_series(
+                reference_groups, injection_iteration, iterations
+            )
             if iterations is not None else None
         )
         if diverged:
@@ -332,7 +516,7 @@ class StabilizationExperiment:
             recovery_samples=samples,
             recovery_iterations=iterations,
             diverged=diverged,
-            error_log_size=len(interpreter.error_log),
+            error_log_size=errors,
             divergence=divergence,
             convergence=convergence,
         )

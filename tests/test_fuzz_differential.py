@@ -4,16 +4,27 @@ Random well-formed programs (the generator from ``test_fuzz``) must
 produce byte-identical outputs, iteration marks and error logs on the
 tree-walking interpreter and the closure-compiling runner — in strict
 mode, in crash-avoidance mode, and under fault injection (site numbering
-must agree for injections to land identically).
+must agree for injections to land identically).  Checkpointed injection
+trials on the compiled runner must give the trial records of whole runs
+on the interpreter.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import DIST_APP_NAMES
-from repro.runtime import ErrorInjector, Interpreter, RuntimeOptions
+from repro.runtime import (
+    ErrorInjector,
+    Interpreter,
+    RuntimeOptions,
+    StabilizationExperiment,
+)
+from repro.runtime.campaign import trial_record
 from repro.runtime.compiler import CompiledRunner
 from repro.runtime.devices import IterationKeyedDevice
 from tests.conftest import analyze
@@ -52,6 +63,73 @@ class TestBackendEquivalence:
         # the injectable-site numbering agrees exactly
         assert injectors[0].step == injectors[1].step
         assert injectors[0].injected_at == injectors[1].injected_at
+
+
+def experiment_pair(info, iterations=8, **kwargs):
+    """A checkpointed experiment and its whole-run interpreter oracle."""
+    checkpointed = StabilizationExperiment(
+        info,
+        lambda: IterationKeyedDevice(
+            lambda n, i, k: (i * 13 + k) % 17, iterations=iterations
+        ),
+        **kwargs,
+    )
+    return checkpointed, dataclasses.replace(
+        checkpointed, engine=Interpreter
+    )
+
+
+#: The state differs from the reference only by the sign of a zero:
+#: once ``t`` is corrupted, ``z`` becomes -0.0 and stays there, which
+#: ``==`` cannot tell from the reference's 0.0 but ``SJ.toStr`` prints.
+NEGATIVE_ZERO = """
+class Main {
+  float z;
+  void run() {
+    SSJAVA:
+    while (true) {
+      int v = Device.readSensor();
+      float t = z * 1.0;
+      if (t != 0.0) {
+        z = -0.0;
+      }
+      SJ.print(SJ.toStr(z));
+    }
+  }
+}
+"""
+
+
+class TestCheckpointedTrials:
+    @given(
+        programs(annotated=False),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_records_identical_to_whole_runs(self, source, picks, burst):
+        info = analyze(source)
+        checkpointed, whole = experiment_pair(info, step_budget_factor=4)
+        total = checkpointed.total_steps()
+        assert total == whole.total_steps()
+        for pick in picks:
+            site = pick % (total + 2)
+            records = [
+                trial_record("fuzz", e.trial_at(site, seed=pick, burst=burst))
+                for e in (checkpointed, whole)
+            ]
+            assert records[0] == records[1]
+
+    def test_negative_zero_never_rejoins_the_reference(self):
+        checkpointed, whole = experiment_pair(analyze(NEGATIVE_ZERO))
+        assert checkpointed.reference_groups()[0] == ["0.0"]
+        diverged = 0
+        for site in range(checkpointed.total_steps()):
+            trial = checkpointed.trial_at(site, seed=1)
+            assert trial == whole.trial_at(site, seed=1), site
+            diverged += trial.diverged
+        # Every corruption of ``t`` leaves -0.0 behind for good.
+        assert diverged >= checkpointed.total_steps() // 2
 
 
 class TestDistributedBackendEquivalence:
